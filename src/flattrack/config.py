@@ -4,11 +4,25 @@ One file drives every pipeline stage: monitor/grid geometry, renderer,
 optics, reconstruction, and training parameters plus the master seed.
 Lines are ``key = value``; ``#`` starts a comment. Unknown keys are
 rejected so a typo cannot silently fall back to a default.
+
+Most keys are ``<prefix><field>`` for a field of a stage dataclass, and
+their type and default are that field's: ``monitor.`` (MonitorSpec, then
+CalibratedScreen), ``grid.`` (GridSpec), ``render.`` (EyeRenderParams),
+``optics.psf_`` (ContourPsfParams), ``optics.noise_`` (NoiseModel),
+``recon.`` (WienerConfig), ``train.`` (TrainConfig) and ``train.aug_``
+(AffineRanges). Fields a builder fills itself have no key:
+CalibratedScreen.monitor, WienerConfig.output_h/output_w (the render size),
+TrainConfig.aug and TrainConfig.seed. Eleven keys belong to no dataclass
+and carry their defaults here: ``seed``, ``dataset.subjects``,
+``dataset.rounds``, ``dataset.n_per_point``, ``optics.psf_h``,
+``optics.psf_w``, ``recon.method``, ``train.augment_finetune``,
+``train.holdout_round``, ``bench.frames`` and ``bench.warmup``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 from .errors import ConfigError
 from .eyesim import EyeRenderParams
@@ -17,76 +31,37 @@ from .optics import ContourPsfParams, NoiseModel
 from .reconstruct import WienerConfig
 from .regressor import AffineRanges, TrainConfig
 
-# key -> (type, default)
-SCHEMA: dict[str, tuple[type, object]] = {
-    "seed": (int, 12345),
-    # monitor / calibration
-    "monitor.width_px": (int, 1920),
-    "monitor.height_px": (int, 1080),
-    "monitor.pixel_pitch_mm": (float, 0.2938),
-    "monitor.distance_mm": (float, 500.0),
-    "monitor.calib_x_px": (float, 960.0),
-    "monitor.calib_y_px": (float, 540.0),
-    # stimulus grid
-    "grid.rows": (int, 15),
-    "grid.cols": (int, 15),
-    "grid.spacing_x_px": (float, 121.3),
-    "grid.spacing_y_px": (float, 66.3),
-    "grid.origin_x_px": (float, 960.0 - 14 * 121.3 / 2),
-    "grid.origin_y_px": (float, 540.0 - 14 * 66.3 / 2),
-    # eye renderer
-    "render.image_h": (int, 128),
-    "render.image_w": (int, 128),
-    "render.eyeball_radius_mm": (float, 12.0),
-    "render.pupil_radius_mm": (float, 2.5),
-    "render.iris_radius_mm": (float, 6.0),
-    "render.camera_scale_px_per_mm": (float, 4.0),
-    "render.sclera_level": (float, 0.85),
-    "render.iris_level": (float, 0.45),
-    "render.pupil_level": (float, 0.08),
-    "render.eyelid_openness": (float, 0.8),
-    "render.light_x_px": (float, 63.5),
-    "render.light_y_px": (float, 63.5),
-    "render.light_falloff_r0_px": (float, 80.0),
-    "render.texture_noise_rel": (float, 0.02),
-    # dataset protocol
-    "dataset.subjects": (int, 13),
-    "dataset.rounds": (int, 5),
-    "dataset.n_per_point": (int, 1),
-    # optics
-    "optics.psf_h": (int, 128),
-    "optics.psf_w": (int, 128),
-    "optics.psf_n_waves": (int, 24),
-    "optics.psf_levelset_width": (float, 0.08),
-    "optics.psf_fill_target": (float, 0.15),
-    "optics.noise_kind": (str, "gaussian"),
-    "optics.noise_sigma_rel": (float, 5e-3),
-    # reconstruction
-    "recon.gamma": (float, 1e-5),
-    "recon.clip01": (bool, True),
-    "recon.method": (str, "wiener"),
-    # training
-    "train.epochs": (int, 50),
-    "train.lr": (float, 1e-4),
-    "train.weight_decay": (float, 5e-4),
-    "train.adam_beta1": (float, 0.9),
-    "train.adam_beta2": (float, 0.999),
-    "train.adam_eps": (float, 1e-8),
-    "train.lr_step_epochs": (int, 5),
-    "train.lr_decay": (float, 0.5),
-    "train.batch_size": (int, 32),
-    "train.split_ratio": (float, 0.8),
-    "train.augment": (bool, True),
-    "train.augment_finetune": (bool, True),
-    "train.aug_rotation_deg": (float, 5.0),
-    "train.aug_translate_px": (float, 3.0),
-    "train.aug_scale_min": (float, 0.95),
-    "train.aug_scale_max": (float, 1.05),
-    "train.holdout_round": (int, -1),
-    # benchmark harness
-    "bench.frames": (int, 500),
-    "bench.warmup": (int, 50),
-}
+
+def _keys(prefix: str, cls, *builder_filled: str) -> list[tuple[str, type, object]]:
+    """(key, type, default) for each field of ``cls`` that has a key."""
+    hints = get_type_hints(cls)
+    return [(prefix + f.name, hints[f.name], f.default)
+            for f in fields(cls) if f.name not in builder_filled]
+
+
+# key -> (type, default), in config-file order
+SCHEMA: dict[str, tuple[type, object]] = {key: (typ, default) for key, typ, default in [
+    ("seed", int, 12345),
+    *_keys("monitor.", MonitorSpec),
+    *_keys("monitor.", CalibratedScreen, "monitor"),
+    *_keys("grid.", GridSpec),
+    *_keys("render.", EyeRenderParams),
+    ("dataset.subjects", int, 13),
+    ("dataset.rounds", int, 5),
+    ("dataset.n_per_point", int, 1),
+    ("optics.psf_h", int, 128),
+    ("optics.psf_w", int, 128),
+    *_keys("optics.psf_", ContourPsfParams),
+    *_keys("optics.noise_", NoiseModel),
+    *_keys("recon.", WienerConfig, "output_h", "output_w"),
+    ("recon.method", str, "wiener"),
+    *_keys("train.", TrainConfig, "aug", "seed"),
+    ("train.augment_finetune", bool, True),
+    *_keys("train.aug_", AffineRanges),
+    ("train.holdout_round", int, -1),
+    ("bench.frames", int, 500),
+    ("bench.warmup", int, 50),
+]}
 
 
 def _parse_value(key: str, raw: str, typ: type):
@@ -157,87 +132,41 @@ class ExperimentConfig:
 
     # ---- typed builders ----------------------------------------------------
 
+    def _build(self, cls, prefix: str, **given):
+        """``cls`` from the keys ``<prefix><field>``; a given non-None value
+        replaces the key."""
+        given = {k: v for k, v in given.items() if v is not None}
+        return cls(**{f.name: self[prefix + f.name]
+                      for f in fields(cls) if f.name not in given}, **given)
+
     def screen(self) -> CalibratedScreen:
-        return CalibratedScreen(
-            monitor=MonitorSpec(
-                width_px=self["monitor.width_px"],
-                height_px=self["monitor.height_px"],
-                pixel_pitch_mm=self["monitor.pixel_pitch_mm"],
-                distance_mm=self["monitor.distance_mm"],
-            ),
-            calib_x_px=self["monitor.calib_x_px"],
-            calib_y_px=self["monitor.calib_y_px"],
-        )
+        return self._build(CalibratedScreen, "monitor.",
+                           monitor=self._build(MonitorSpec, "monitor."))
 
     def grid(self) -> GridSpec:
-        return GridSpec(
-            rows=self["grid.rows"],
-            cols=self["grid.cols"],
-            spacing_x_px=self["grid.spacing_x_px"],
-            spacing_y_px=self["grid.spacing_y_px"],
-            origin_x_px=self["grid.origin_x_px"],
-            origin_y_px=self["grid.origin_y_px"],
-        )
+        return self._build(GridSpec, "grid.")
 
     def render_params(self) -> EyeRenderParams:
-        return EyeRenderParams(
-            image_h=self["render.image_h"],
-            image_w=self["render.image_w"],
-            eyeball_radius_mm=self["render.eyeball_radius_mm"],
-            pupil_radius_mm=self["render.pupil_radius_mm"],
-            iris_radius_mm=self["render.iris_radius_mm"],
-            camera_scale_px_per_mm=self["render.camera_scale_px_per_mm"],
-            sclera_level=self["render.sclera_level"],
-            iris_level=self["render.iris_level"],
-            pupil_level=self["render.pupil_level"],
-            eyelid_openness=self["render.eyelid_openness"],
-            light_x_px=self["render.light_x_px"],
-            light_y_px=self["render.light_y_px"],
-            light_falloff_r0_px=self["render.light_falloff_r0_px"],
-            texture_noise_rel=self["render.texture_noise_rel"],
-        )
+        return self._build(EyeRenderParams, "render.")
 
     def psf_params(self) -> ContourPsfParams:
-        return ContourPsfParams(
-            n_waves=self["optics.psf_n_waves"],
-            levelset_width=self["optics.psf_levelset_width"],
-            fill_target=self["optics.psf_fill_target"],
-        )
+        return self._build(ContourPsfParams, "optics.psf_")
 
     def noise_model(self) -> NoiseModel:
-        return NoiseModel(kind=self["optics.noise_kind"],
-                          sigma_rel=self["optics.noise_sigma_rel"])
+        return self._build(NoiseModel, "optics.noise_")
 
     def wiener_config(self, output_h: int | None = None,
                       output_w: int | None = None,
                       gamma: float | None = None) -> WienerConfig:
-        return WienerConfig(
-            gamma=self["recon.gamma"] if gamma is None else gamma,
+        return self._build(
+            WienerConfig, "recon.", gamma=gamma,
             output_h=self["render.image_h"] if output_h is None else output_h,
-            output_w=self["render.image_w"] if output_w is None else output_w,
-            clip01=self["recon.clip01"],
-        )
+            output_w=self["render.image_w"] if output_w is None else output_w)
 
     def train_config(self, seed: int | None = None,
                      finetune: bool = False) -> TrainConfig:
-        augment = self["train.augment_finetune"] if finetune else self["train.augment"]
-        return TrainConfig(
-            epochs=self["train.epochs"],
-            lr=self["train.lr"],
-            weight_decay=self["train.weight_decay"],
-            beta1=self["train.adam_beta1"],
-            beta2=self["train.adam_beta2"],
-            eps=self["train.adam_eps"],
-            lr_step_epochs=self["train.lr_step_epochs"],
-            lr_decay=self["train.lr_decay"],
-            batch_size=self["train.batch_size"],
-            split_ratio=self["train.split_ratio"],
-            augment=augment,
-            aug=AffineRanges(
-                rotation_deg=self["train.aug_rotation_deg"],
-                translate_px=self["train.aug_translate_px"],
-                scale_min=self["train.aug_scale_min"],
-                scale_max=self["train.aug_scale_max"],
-            ),
-            seed=self["seed"] if seed is None else seed,
-        )
+        return self._build(
+            TrainConfig, "train.",
+            augment=self["train.augment_finetune" if finetune else "train.augment"],
+            aug=self._build(AffineRanges, "train.aug_"),
+            seed=self["seed"] if seed is None else seed)

@@ -41,8 +41,8 @@ class EyeRenderParams:
     iris_level: float = 0.45
     pupil_level: float = 0.08
     eyelid_openness: float = 0.8
-    light_x_px: float = 64.0
-    light_y_px: float = 64.0
+    light_x_px: float = 63.5
+    light_y_px: float = 63.5
     light_falloff_r0_px: float = 80.0
     texture_noise_rel: float = 0.02
 

@@ -83,12 +83,6 @@ class DatasetManifest:
     def load_samples(self, rows=None) -> list[GazeSample]:
         return [self.load_sample(r) for r in (self.rows if rows is None else rows)]
 
-    def subject_ids(self) -> list[int]:
-        return sorted({r.subject_id for r in self.rows})
-
-    def rounds_of(self, subject_id: int) -> list[int]:
-        return sorted({r.round_id for r in self.rows if r.subject_id == subject_id})
-
 
 def save_sample(root: str, s: GazeSample) -> ManifestRow:
     """Write one sample's image under ``root`` and return its manifest row."""

@@ -8,7 +8,6 @@ File formats
 ------------
 FLTIMG (bit-exact storage): ASCII header line ``FLTIMG1 <height> <width>\\n``
 followed by height*width little-endian IEEE-754 float32 samples, row-major.
-PGM (P5) export is provided for eyeballing images only.
 """
 
 from __future__ import annotations
@@ -70,17 +69,14 @@ class NoiseModel:
 
 @dataclass
 class Psf:
-    """Nonnegative intensity PSF, optionally normalized to unit sum."""
+    """Nonnegative intensity PSF."""
 
     data: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         self.data = _check_image(self.data, "psf")
         if np.any(self.data < 0):
             raise ConfigError("psf values must be nonnegative")
-        if self.normalized and abs(float(self.data.sum()) - 1.0) > 1e-9:
-            raise ConfigError("psf marked normalized but sum != 1")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -90,7 +86,7 @@ class Psf:
         s = float(self.data.sum())
         if s <= 0:
             raise NumericalError("cannot normalize an all-zero psf")
-        return Psf(self.data / s, normalized=True)
+        return Psf(self.data / s)
 
 
 def _full_shape(x: np.ndarray, p: np.ndarray) -> tuple[int, int]:
@@ -217,7 +213,7 @@ def generate_contour_psf(h: int, w: int, params: ContourPsfParams, seed: int) ->
     total = float(mask.sum())
     if total <= 0:
         raise NumericalError("degenerate contour psf: all-zero mask")
-    return Psf(mask / total, normalized=True)
+    return Psf(mask / total)
 
 
 def spectral_flatness_ratio(p: Psf) -> float:
@@ -227,7 +223,7 @@ def spectral_flatness_ratio(p: Psf) -> float:
 
 
 # ---------------------------------------------------------------------------
-# FLTIMG / PGM io
+# FLTIMG io
 # ---------------------------------------------------------------------------
 
 def save_image(x, path) -> None:
@@ -274,17 +270,4 @@ def load_psf(path) -> Psf:
     data = load_image(path)
     if np.any(data < 0):
         raise FormatError(f"{path}: negative values in psf")
-    s = float(data.sum())
-    return Psf(data, normalized=abs(s - 1.0) <= 1e-9)
-
-
-def save_pgm(x, path) -> None:
-    """8-bit PGM (P5) export: values clamped to [0, 1], scaled to 0-255."""
-    xa = np.asarray(x, dtype=float)
-    if xa.ndim != 2:
-        raise ConfigError("pgm export needs a 2D array")
-    q = np.clip(xa, 0.0, 1.0)
-    q = np.round(q * 255.0).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P5\n{xa.shape[1]} {xa.shape[0]}\n255\n".encode("ascii"))
-        f.write(q.tobytes())
+    return Psf(data)

@@ -11,7 +11,6 @@ scene estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -31,7 +30,7 @@ class WienerConfig:
     gamma: float = 1e-5
     output_h: int = 128
     output_w: int = 128
-    clip01: bool = False
+    clip01: bool = True
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -57,8 +56,6 @@ def wiener_deconvolve(y, p: Psf, cfg: WienerConfig) -> np.ndarray:
     """Closed-form Tikhonov solution, cropped to the configured scene size."""
     ya = _check_image(y, "measurement")
     pa = p.data if isinstance(p, Psf) else _check_image(p, "psf")
-    if cfg.gamma <= 0:
-        raise ConfigError("gamma must be positive")
     if pa.shape[0] > ya.shape[0] or pa.shape[1] > ya.shape[1]:
         raise ConfigError("measurement smaller than psf")
     if (cfg.output_h + pa.shape[0] - 1 != ya.shape[0]
@@ -94,28 +91,14 @@ def tikhonov_objective(x_hat, y, p: Psf, gamma: float) -> float:
     return float(np.sum(resid**2) + gamma * np.sum(xa**2))
 
 
-def _identity_reconstruct(y, p: Psf, cfg: WienerConfig) -> np.ndarray:
-    """No-op reconstructor: returns the input unchanged (lensed-baseline path)."""
-    return _check_image(y, "measurement")
-
-
-_RECONSTRUCTORS: dict[str, Callable] = {
-    "wiener": wiener_deconvolve,
-    "identity": _identity_reconstruct,
-}
-
-
-def register_reconstructor(name: str, fn: Callable) -> None:
-    _RECONSTRUCTORS[name] = fn
-
-
 def reconstruct(y, p: Psf, cfg: WienerConfig, method: str = "wiener") -> np.ndarray:
-    """Single entry point for scene recovery; dispatches on ``method``."""
-    try:
-        fn = _RECONSTRUCTORS[method]
-    except KeyError:
-        raise ConfigError(f"unknown reconstructor {method!r}") from None
-    return fn(y, p, cfg)
+    """Single entry point for scene recovery: ``"wiener"`` deconvolves,
+    ``"identity"`` passes the measurement through (lensed-baseline path)."""
+    if method == "wiener":
+        return wiener_deconvolve(y, p, cfg)
+    if method == "identity":
+        return _check_image(y, "measurement")
+    raise ConfigError(f"unknown reconstructor {method!r}")
 
 
 def psnr(a, b, peak: float = 1.0) -> float:

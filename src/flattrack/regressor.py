@@ -87,9 +87,9 @@ class TrainConfig:
     epochs: int = 50
     lr: float = 1e-4
     weight_decay: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    adam_beta1: float = 0.9
+    adam_beta2: float = 0.999
+    adam_eps: float = 1e-8
     lr_step_epochs: int = 5
     lr_decay: float = 0.5
     batch_size: int = 32
@@ -101,9 +101,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1 or self.lr_step_epochs < 1:
             raise ConfigError("epochs/batch_size/lr_step_epochs out of range")
-        if self.lr < 0 or self.weight_decay < 0 or self.eps <= 0:
-            raise ConfigError("lr/weight_decay/eps out of range")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1 and 0 < self.lr_decay <= 1):
+        if self.lr < 0 or self.weight_decay < 0 or self.adam_eps <= 0:
+            raise ConfigError("lr/weight_decay/adam_eps out of range")
+        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1
+                and 0 < self.lr_decay <= 1):
             raise ConfigError("beta/decay factors must be in (0, 1]")
         if not (0.0 < self.split_ratio < 1.0):
             raise ConfigError("split_ratio must be in (0, 1)")
@@ -331,7 +332,7 @@ class AdamState:
     def step(self, model: RegressorModel, grads_w, grads_b, lr: float,
              cfg: TrainConfig, trainable: set[int]):
         self.t += 1
-        b1, b2 = cfg.beta1, cfg.beta2
+        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for k in range(model.n_layers):
@@ -346,7 +347,7 @@ class AdamState:
                 mom += (1 - b1) * g
                 vel *= b2
                 vel += (1 - b2) * g * g
-                theta -= lr * (mom / c1) / (np.sqrt(vel / c2) + cfg.eps)
+                theta -= lr * (mom / c1) / (np.sqrt(vel / c2) + cfg.adam_eps)
 
 
 @dataclass

@@ -150,7 +150,7 @@ def test_criterion_02_wiener_matches_gradient_descent():
         x = rng.random((h, w))
         p = rng.uniform(0.1, 1.0, (4, 4))
         p /= p.sum()
-        psf = Psf(p, normalized=True)
+        psf = Psf(p)
         y = full_convolve(x, psf)
         gamma = 1e-3
         xg = gradient_descent_tikhonov(y, psf, gamma, max_iter=30000, tol=1e-22)
@@ -169,7 +169,7 @@ def test_criterion_02_wiener_matches_gradient_descent():
 def test_criterion_03_delta_psf_identity():
     rng = np.random.default_rng(1003)
     x = rng.random((24, 24))
-    p = Psf(np.array([[1.0]]), normalized=True)
+    p = Psf(np.array([[1.0]]))
     y = full_convolve(x, p)
     xh = wiener_deconvolve(y, p, WienerConfig(gamma=1e-12, output_h=24, output_w=24))
     err = float(np.max(np.abs(xh - x)))

@@ -9,7 +9,7 @@ from flattrack.errors import ConfigError, FormatError, NumericalError
 from flattrack.optics import (ContourPsfParams, NoiseModel, Psf,
                               convolve_direct, crop_to_sensor, full_convolve,
                               generate_contour_psf, load_image, load_psf,
-                              next_fast_len, save_image, save_pgm, save_psf,
+                              next_fast_len, save_image, save_psf,
                               simulate_measurement, spectral_flatness_ratio)
 from flattrack.seeds import mix_seed, splitmix64
 
@@ -211,13 +211,10 @@ def test_contour_psf_rejects_small_dims():
 def test_psf_validation():
     with pytest.raises(ConfigError):
         Psf(np.array([[0.5, -0.1], [0.2, 0.4]]))
-    with pytest.raises(ConfigError):
-        Psf(np.array([[0.5, 0.5]]), normalized=False).data.sum()  # ok
-        Psf(np.array([[0.5, 0.4]]), normalized=True)
 
 
 # ---------------------------------------------------------------------------
-# FLTIMG / PGM
+# FLTIMG
 # ---------------------------------------------------------------------------
 
 def test_fltimg_round_trip_bit_exact(tmp_path):
@@ -259,14 +256,3 @@ def test_psf_save_load_round_trip(tmp_path):
     save_psf(p, path)
     q = load_psf(path)
     assert np.array_equal(q.data.astype(np.float32), p.data.astype(np.float32))
-    assert q.normalized
-
-
-def test_pgm_export(tmp_path):
-    img = np.linspace(-0.5, 1.5, 12).reshape(3, 4)
-    path = tmp_path / "img.pgm"
-    save_pgm(img, path)
-    raw = path.read_bytes()
-    assert raw.startswith(b"P5\n4 3\n255\n")
-    pix = np.frombuffer(raw.split(b"255\n", 1)[1], dtype=np.uint8)
-    assert pix[0] == 0 and pix[-1] == 255

@@ -5,7 +5,7 @@ from flattrack.errors import ConfigError
 from flattrack.optics import NoiseModel, Psf, full_convolve, simulate_measurement
 from flattrack.reconstruct import (WienerConfig, _wiener_padded,
                                    gradient_descent_tikhonov, psnr,
-                                   reconstruct, register_reconstructor,
+                                   reconstruct,
                                    tikhonov_objective, wiener_deconvolve)
 
 
@@ -18,7 +18,7 @@ def spiked_band_psf(alpha: float = 2.0) -> Psf:
         [1, 0, 0, 0, 1],
         [0, 1, 1, 1, 0]], dtype=float)
     band[2, 2] = alpha * band.sum()
-    return Psf(band / band.sum(), normalized=True)
+    return Psf(band / band.sum())
 
 
 def cfg_for(x, p, gamma=1e-5, clip01=False):
@@ -29,7 +29,7 @@ def cfg_for(x, p, gamma=1e-5, clip01=False):
 def test_delta_psf_identity():
     rng = np.random.default_rng(0)
     x = rng.random((10, 12))
-    p = Psf(np.array([[1.0]]), normalized=True)
+    p = Psf(np.array([[1.0]]))
     y = full_convolve(x, p)
     xh = wiener_deconvolve(y, p, cfg_for(x, p, gamma=1e-12))
     assert np.max(np.abs(xh - x)) < 1e-6
@@ -41,7 +41,7 @@ def test_shifted_delta_self_registers():
     x = rng.random((9, 9))
     pd = np.zeros((3, 3))
     pd[1, 2] = 1.0
-    p = Psf(pd, normalized=True)
+    p = Psf(pd)
     y = full_convolve(x, p)
     xh = wiener_deconvolve(y, p, cfg_for(x, p, gamma=1e-12))
     assert np.max(np.abs(xh - x)) < 1e-6
@@ -158,7 +158,7 @@ def test_closed_form_matches_gradient_descent():
         x = rng.random((h, w))
         p = rng.uniform(0.1, 1.0, (4, 4))
         p /= p.sum()
-        psf = Psf(p, normalized=True)
+        psf = Psf(p)
         y = full_convolve(x, psf)
         gamma = 1e-3
         xg = gradient_descent_tikhonov(y, psf, gamma, max_iter=30000, tol=1e-22)
@@ -203,15 +203,11 @@ def test_identity_reconstructor_passthrough():
     assert np.array_equal(out, y)
 
 
-def test_reconstruct_unknown_method_and_registry():
+def test_reconstruct_unknown_method():
     p = spiked_band_psf()
     with pytest.raises(ConfigError):
         reconstruct(np.ones((8, 8)), p, WienerConfig(gamma=1e-5, output_h=4, output_w=4),
                     method="nope")
-    register_reconstructor("half", lambda y, p, cfg: 0.5 * np.asarray(y))
-    out = reconstruct(np.ones((4, 4)), p,
-                      WienerConfig(gamma=1e-5, output_h=4, output_w=4), method="half")
-    assert np.array_equal(out, 0.5 * np.ones((4, 4)))
 
 
 def test_psnr_helper():
