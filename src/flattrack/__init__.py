@@ -14,9 +14,9 @@ from .errors import (ConfigError, DataError, FlatTrackError, FormatError,
 from .geometry import (CalibratedScreen, GridSpec, MonitorSpec, angular_error,
                        fov, gaze_to_screen, gaze_to_screen_jacobian,
                        grid_angular_stats, make_grid, screen_to_gaze)
-from .optics import (ContourPsfParams, NoiseModel, Psf, crop_to_sensor,
-                     full_convolve, generate_contour_psf, load_image,
-                     load_psf, save_image, save_psf, simulate_measurement)
+from .optics import (ContourPsfParams, NoiseModel, Psf, full_convolve,
+                     generate_contour_psf, load_image, load_psf, save_image,
+                     save_psf, simulate_measurement)
 from .reconstruct import (WienerConfig, psnr, reconstruct,
                           tikhonov_objective, wiener_deconvolve)
 from .eyesim import EyeRenderParams, GazeSample, render_eye, render_round

@@ -21,6 +21,7 @@ and carry their defaults here: ``seed``, ``dataset.subjects``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import get_type_hints
 
@@ -74,7 +75,10 @@ def _parse_value(key: str, raw: str, typ: type):
             if low in ("false", "0", "no", "off"):
                 return False
             raise ValueError(raw)
-        return typ(raw)
+        value = typ(raw)
+        if typ is float and not math.isfinite(value):
+            raise ValueError(raw)
+        return value
     except ValueError as e:
         raise ConfigError(f"bad value for {key}: {raw!r} (expected {typ.__name__})") from e
 
@@ -98,6 +102,8 @@ class ExperimentConfig:
             value = float(value)
         if not isinstance(value, typ):
             raise ConfigError(f"bad type for {key}: {value!r}")
+        if typ is float and not math.isfinite(value):
+            raise ConfigError(f"non-finite value for {key}: {value!r}")
         self.values[key] = value
 
     @classmethod

@@ -12,7 +12,7 @@ followed by height*width little-endian IEEE-754 float32 samples, row-major.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,16 +67,23 @@ class NoiseModel:
             raise ConfigError("sigma_rel must be in [0, 1)")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Psf:
-    """Nonnegative intensity PSF."""
+    """Nonnegative intensity PSF: immutable, and memoises its padded spectrum.
+
+    ``data`` is a read-only copy of the given array, so nothing cached from
+    it can go stale. Build one Psf per camera and reuse it for every frame.
+    """
 
     data: np.ndarray
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.data = _check_image(self.data, "psf")
-        if np.any(self.data < 0):
+        data = _check_image(self.data, "psf").copy()
+        if np.any(data < 0):
             raise ConfigError("psf values must be nonnegative")
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -88,8 +95,19 @@ class Psf:
             raise NumericalError("cannot normalize an all-zero psf")
         return Psf(self.data / s)
 
+    def _memo(self, key, compute):
+        """``compute()`` on the first call for ``key``, the stored value after.
 
-def _full_shape(x: np.ndarray, p: np.ndarray) -> tuple[int, int]:
+        Threads may race to compute the same deterministic value; setdefault
+        keeps the first one stored, so every caller gets the same array.
+        """
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache.setdefault(key, compute())
+        return value
+
+
+def _full_shape(x: np.ndarray, p: Psf | np.ndarray) -> tuple[int, int]:
     h = x.shape[0] + p.shape[0] - 1
     w = x.shape[1] + p.shape[1] - 1
     if h > MAX_DIM or w > MAX_DIM:
@@ -102,6 +120,31 @@ def fft_conv_shape(h: int, w: int) -> tuple[int, int]:
     return next_fast_len(h), next_fast_len(w)
 
 
+def _psf_operand(p: Psf | np.ndarray) -> Psf | np.ndarray:
+    """A Psf as it is; anything else as a checked float array, which may be
+    negative and is never cached."""
+    return p if isinstance(p, Psf) else _check_image(p, "psf")
+
+
+def _padded_spectrum(p: Psf | np.ndarray, out_h: int, out_w: int):
+    """The FFT grid on which an (out_h, out_w) linear convolution is exact,
+    and the PSF's rfft2 on it: memoised on a Psf, computed for an array."""
+    grid = fft_conv_shape(out_h, out_w)
+    if isinstance(p, Psf):
+        return grid, p._memo(("spectrum", grid),
+                             lambda: np.fft.rfft2(p.data, s=grid))
+    return grid, np.fft.rfft2(p, s=grid)
+
+
+def _irfft2_crop(f: np.ndarray, grid: tuple[int, int], out_h: int,
+                 out_w: int) -> np.ndarray:
+    """``np.fft.irfft2(f, s=grid)[:out_h, :out_w]``, bit for bit, with the
+    last pass run only on the kept rows (irfft2 runs the same two passes)."""
+    fh, fw = grid
+    rows = np.fft.ifft(f, n=fh, axis=0)[:out_h]
+    return np.fft.irfft(rows, n=fw, axis=1)[:, :out_w]
+
+
 def full_convolve(x, p: Psf | np.ndarray) -> np.ndarray:
     """Full-size linear convolution of scene ``x`` with PSF ``p`` via FFT.
 
@@ -110,13 +153,11 @@ def full_convolve(x, p: Psf | np.ndarray) -> np.ndarray:
     linear; the pad is then trimmed.
     """
     xa = _check_image(x, "scene")
-    pa = p.data if isinstance(p, Psf) else _check_image(p, "psf")
-    out_h, out_w = _full_shape(xa, pa)
-    fh, fw = fft_conv_shape(out_h, out_w)
-    fx = np.fft.rfft2(xa, s=(fh, fw))
-    fp = np.fft.rfft2(pa, s=(fh, fw))
-    y = np.fft.irfft2(fx * fp, s=(fh, fw))
-    return y[:out_h, :out_w]
+    p = _psf_operand(p)
+    out_h, out_w = _full_shape(xa, p)
+    grid, fp = _padded_spectrum(p, out_h, out_w)
+    fx = np.fft.rfft2(xa, s=grid)
+    return _irfft2_crop(fx * fp, grid, out_h, out_w)
 
 
 def convolve_direct(x, p: Psf | np.ndarray) -> np.ndarray:
@@ -144,18 +185,6 @@ def simulate_measurement(x, p: Psf, noise: NoiseModel, seed: int) -> np.ndarray:
         rng = make_rng(seed)
         y = y + rng.normal(0.0, sigma, size=y.shape)
     return y
-
-
-def crop_to_sensor(y, sensor_h: int, sensor_w: int) -> np.ndarray:
-    """Centered crop modeling a finite sensor; floor-centered on odd/even mismatch."""
-    ya = _check_image(y, "measurement")
-    if sensor_h <= 0 or sensor_w <= 0:
-        raise ConfigError("sensor dims must be positive")
-    if sensor_h > ya.shape[0] or sensor_w > ya.shape[1]:
-        raise ConfigError("sensor larger than measurement")
-    r0 = (ya.shape[0] - sensor_h) // 2
-    c0 = (ya.shape[1] - sensor_w) // 2
-    return ya[r0:r0 + sensor_h, c0:c0 + sensor_w]
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,14 @@ scene estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .optics import Psf, _check_image, fft_conv_shape
+from .optics import (Psf, _check_image, _irfft2_crop, _padded_spectrum,
+                     _psf_operand, fft_conv_shape)
 
 
 @dataclass(frozen=True)
@@ -33,38 +35,58 @@ class WienerConfig:
     clip01: bool = True
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ConfigError("gamma must be positive")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ConfigError("gamma must be positive and finite")
         if self.output_h <= 0 or self.output_w <= 0:
             raise ConfigError("output dims must be positive")
 
 
-def _padded_grid(y: np.ndarray) -> tuple[int, int]:
-    return fft_conv_shape(y.shape[0], y.shape[1])
-
-
 def _wiener_padded(y: np.ndarray, p: np.ndarray, gamma: float) -> np.ndarray:
-    """Uncropped minimizer of the padded circular Tikhonov problem."""
-    fh, fw = _padded_grid(y)
+    """Uncropped minimizer of the padded circular Tikhonov problem, computed
+    afresh: the reference that the cached path must equal bit for bit."""
+    fh, fw = fft_conv_shape(y.shape[0], y.shape[1])
     fy = np.fft.rfft2(y, s=(fh, fw))
     fp = np.fft.rfft2(p, s=(fh, fw))
     fx = np.conj(fp) * fy / (np.abs(fp) ** 2 + gamma)
     return np.fft.irfft2(fx, s=(fh, fw))
 
 
+def _wiener_terms(p: Psf | np.ndarray, out_h: int, out_w: int, gamma: float):
+    """The padded grid, the PSF spectrum H and the Wiener terms conj(H) and
+    |H|^2 + gamma for an (out_h, out_w) measurement: memoised on a Psf per
+    (grid, gamma). The terms stay apart, since one premultiplied filter
+    would round differently from ``_wiener_padded``."""
+    grid, fp = _padded_spectrum(p, out_h, out_w)
+
+    def terms():
+        return np.conj(fp), np.abs(fp) ** 2 + gamma
+
+    if isinstance(p, Psf):
+        return grid, fp, p._memo(("wiener", grid, gamma), terms)
+    return grid, fp, terms()
+
+
 def wiener_deconvolve(y, p: Psf, cfg: WienerConfig) -> np.ndarray:
-    """Closed-form Tikhonov solution, cropped to the configured scene size."""
+    """Closed-form Tikhonov solution, cropped to the configured scene size.
+
+    Equals ``_wiener_padded`` cropped (and clipped) bit for bit; the inverse
+    FFT runs only on the kept rows.
+    """
     ya = _check_image(y, "measurement")
-    pa = p.data if isinstance(p, Psf) else _check_image(p, "psf")
-    if pa.shape[0] > ya.shape[0] or pa.shape[1] > ya.shape[1]:
+    p = _psf_operand(p)
+    if p.shape[0] > ya.shape[0] or p.shape[1] > ya.shape[1]:
         raise ConfigError("measurement smaller than psf")
-    if (cfg.output_h + pa.shape[0] - 1 != ya.shape[0]
-            or cfg.output_w + pa.shape[1] - 1 != ya.shape[1]):
+    if (cfg.output_h + p.shape[0] - 1 != ya.shape[0]
+            or cfg.output_w + p.shape[1] - 1 != ya.shape[1]):
         raise ConfigError(
             f"measurement {ya.shape} inconsistent with scene "
-            f"({cfg.output_h}, {cfg.output_w}) + psf {pa.shape} - 1")
-    full = _wiener_padded(ya, pa, cfg.gamma)
-    out = full[:cfg.output_h, :cfg.output_w]
+            f"({cfg.output_h}, {cfg.output_w}) + psf {p.shape} - 1")
+    grid, _, (cfp, den) = _wiener_terms(p, *ya.shape, cfg.gamma)
+    # Grouped as in _wiener_padded, with fy named first: writing
+    # cfp * rfft2(...) / den, or premultiplying one filter, rounds differently.
+    fy = np.fft.rfft2(ya, s=grid)
+    fx = cfp * fy / den
+    out = _irfft2_crop(fx, grid, cfg.output_h, cfg.output_w)
     if cfg.clip01:
         out = np.clip(out, 0.0, 1.0)
     return out
@@ -78,14 +100,12 @@ def tikhonov_objective(x_hat, y, p: Psf, gamma: float) -> float:
     """
     xa = _check_image(x_hat, "estimate")
     ya = _check_image(y, "measurement")
-    pa = p.data if isinstance(p, Psf) else _check_image(p, "psf")
-    fh, fw = _padded_grid(ya)
-    if xa.shape[0] > fh or xa.shape[1] > fw:
+    grid, fp = _padded_spectrum(_psf_operand(p), *ya.shape)
+    if xa.shape[0] > grid[0] or xa.shape[1] > grid[1]:
         raise ConfigError("estimate larger than the padded grid")
-    fx = np.fft.rfft2(xa, s=(fh, fw))
-    fp = np.fft.rfft2(pa, s=(fh, fw))
-    pred = np.fft.irfft2(fx * fp, s=(fh, fw))
-    ypad = np.zeros((fh, fw))
+    fx = np.fft.rfft2(xa, s=grid)
+    pred = np.fft.irfft2(fx * fp, s=grid)
+    ypad = np.zeros(grid)
     ypad[:ya.shape[0], :ya.shape[1]] = ya
     resid = ypad - pred
     return float(np.sum(resid**2) + gamma * np.sum(xa**2))
@@ -122,32 +142,30 @@ def gradient_descent_tikhonov(y, p: Psf, gamma: float, max_iter: int = 200000,
     forward operator and its adjoint, never the analytic solution.
     """
     ya = _check_image(y, "measurement")
-    pa = p.data if isinstance(p, Psf) else _check_image(p, "psf")
-    if gamma <= 0:
-        raise ConfigError("gamma must be positive")
-    fh, fw = _padded_grid(ya)
-    fp = np.fft.rfft2(pa, s=(fh, fw))
-    ypad = np.zeros((fh, fw))
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ConfigError("gamma must be positive and finite")
+    grid, fp, (cfp, den) = _wiener_terms(_psf_operand(p), *ya.shape, gamma)
+    ypad = np.zeros(grid)
     ypad[:ya.shape[0], :ya.shape[1]] = ya
     fy = np.fft.rfft2(ypad)
 
     def grad_f(fx):
         # d/dX of ||Y - PX||^2 + gamma||X||^2, in the Fourier domain.
-        return 2.0 * (np.conj(fp) * (fp * fx - fy) + gamma * fx)
+        return 2.0 * (cfp * (fp * fx - fy) + gamma * fx)
 
     def apply_h(fg):
-        return 2.0 * ((np.abs(fp) ** 2 + gamma) * fg)
+        return 2.0 * (den * fg)
 
     fx = np.zeros_like(fy)
     for _ in range(max_iter):
         fg = grad_f(fx)
-        g2 = float(np.sum(np.abs(np.fft.irfft2(fg, s=(fh, fw))) ** 2))
+        g2 = float(np.sum(np.abs(np.fft.irfft2(fg, s=grid)) ** 2))
         if g2 <= tol:
             break
         hg = apply_h(fg)
-        ghg = float(np.vdot(np.fft.irfft2(fg, s=(fh, fw)),
-                            np.fft.irfft2(hg, s=(fh, fw))).real)
+        ghg = float(np.vdot(np.fft.irfft2(fg, s=grid),
+                            np.fft.irfft2(hg, s=grid)).real)
         if ghg <= 0:
             raise NumericalError("non-convex curvature in quadratic descent")
         fx = fx - (g2 / ghg) * fg
-    return np.fft.irfft2(fx, s=(fh, fw))
+    return np.fft.irfft2(fx, s=grid)

@@ -95,6 +95,18 @@ def test_config_rejects_bad_values(tmp_path):
     path.write_text("seed 7\n")
     with pytest.raises(ConfigError):
         ExperimentConfig.load(path)
+    # Non-finite floats: NaN would pass every range check and, as gamma,
+    # never hit the Psf's Wiener cache.
+    for text in ("recon.gamma = nan\n", "train.lr = inf\n", "recon.gamma = -inf\n"):
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            ExperimentConfig.load(path)
+    cfg = ExperimentConfig.default()
+    for key, value in (("recon.gamma", "nan"), ("recon.gamma", float("inf")),
+                       ("train.lr", float("nan"))):
+        with pytest.raises(ConfigError):
+            cfg.set(key, value)
+    assert cfg.values == ExperimentConfig.default().values
 
 
 def test_config_builders_cover_schema():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from flattrack.errors import ConfigError, FormatError, NumericalError
 from flattrack.optics import (ContourPsfParams, NoiseModel, Psf,
-                              convolve_direct, crop_to_sensor, full_convolve,
+                              convolve_direct, full_convolve,
                               generate_contour_psf, load_image, load_psf,
                               next_fast_len, save_image, save_psf,
                               simulate_measurement, spectral_flatness_ratio)
@@ -76,6 +76,12 @@ def test_fft_matches_direct_summation_property(hx, wx, hp, wp, seed):
     x = rng.standard_normal((hx, wx))
     p = rng.standard_normal((hp, wp))
     assert rel_err(full_convolve(x, p), convolve_direct(x, p)) < 1e-9
+    # A nonnegative PSF as a Psf: the first call fills its spectrum cache,
+    # the second reads it.
+    psf = Psf(np.abs(p))
+    first = full_convolve(x, psf)
+    assert np.array_equal(full_convolve(x, psf), first)
+    assert rel_err(first, convolve_direct(x, np.abs(p))) < 1e-9
 
 
 def test_linearity():
@@ -156,21 +162,6 @@ def test_noise_model_validation():
 
 
 # ---------------------------------------------------------------------------
-# sensor crop
-# ---------------------------------------------------------------------------
-
-def test_crop_identity_and_centering():
-    rng = np.random.default_rng(8)
-    y = rng.random((5, 5))
-    assert np.array_equal(crop_to_sensor(y, 5, 5), y)
-    assert np.array_equal(crop_to_sensor(y, 3, 3), y[1:4, 1:4])
-    # floor-centered tie break on odd/even mismatch
-    assert np.array_equal(crop_to_sensor(y, 2, 2), y[1:3, 1:3])
-    with pytest.raises(ConfigError):
-        crop_to_sensor(y, 6, 5)
-
-
-# ---------------------------------------------------------------------------
 # contour psf
 # ---------------------------------------------------------------------------
 
@@ -211,6 +202,17 @@ def test_contour_psf_rejects_small_dims():
 def test_psf_validation():
     with pytest.raises(ConfigError):
         Psf(np.array([[0.5, -0.1], [0.2, 0.4]]))
+
+
+def test_psf_holds_a_read_only_copy():
+    # A cached spectrum cannot go stale: the Psf's data cannot be written,
+    # and writing the caller's array does not reach it.
+    a = np.array([[0.25, 0.5], [0.0, 0.25]])
+    p = Psf(a)
+    with pytest.raises(ValueError):
+        p.data[0, 0] = 1.0
+    a[0, 0] = 1.0
+    assert p.data[0, 0] == 0.25
 
 
 # ---------------------------------------------------------------------------

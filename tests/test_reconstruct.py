@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from flattrack.errors import ConfigError
-from flattrack.optics import NoiseModel, Psf, full_convolve, simulate_measurement
+from flattrack.optics import (NoiseModel, Psf, fft_conv_shape, full_convolve,
+                              simulate_measurement)
+from flattrack.pipeline import parallel_map
 from flattrack.reconstruct import (WienerConfig, _wiener_padded,
                                    gradient_descent_tikhonov, psnr,
                                    reconstruct,
@@ -93,8 +95,9 @@ def test_wiener_deterministic():
 
 
 def test_wiener_config_validation():
-    with pytest.raises(ConfigError):
-        WienerConfig(gamma=0.0)
+    for gamma in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            WienerConfig(gamma=gamma)
     p = spiked_band_psf()
     y = np.ones((8, 8))
     with pytest.raises(ConfigError):
@@ -111,6 +114,54 @@ def test_clip01_only_affects_range():
     raw = wiener_deconvolve(y, p, cfg_for(x, p, gamma=1e-6))
     clipped = wiener_deconvolve(y, p, cfg_for(x, p, gamma=1e-6, clip01=True))
     assert np.array_equal(clipped, np.clip(raw, 0.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# the Psf's cached operator against the uncached reference, bit for bit
+# ---------------------------------------------------------------------------
+
+def reference_wiener(y, p: Psf, cfg: WienerConfig) -> np.ndarray:
+    out = _wiener_padded(y, p.data, cfg.gamma)[:cfg.output_h, :cfg.output_w]
+    return np.clip(out, 0.0, 1.0) if cfg.clip01 else out
+
+
+def noisy_frames(rng, scene_shape, p: Psf, n: int = 3) -> list:
+    return [simulate_measurement(rng.random(scene_shape), p,
+                                 NoiseModel("gaussian", 1e-2), k) for k in range(n)]
+
+
+@pytest.mark.parametrize("scene_shape, psf_shape, grid", [
+    ((20, 33), (7, 4), (27, 36)),    # non-square scene and PSF
+    ((40, 66), (6, 10), (45, 75)),   # odd 5-smooth grid: irfft with odd n
+])
+@pytest.mark.parametrize("clip01", [False, True])
+def test_cached_wiener_equals_reference(scene_shape, psf_shape, grid, clip01):
+    rng = np.random.default_rng(20)
+    p = Psf(rng.random(psf_shape))
+    frames = noisy_frames(rng, scene_shape, p)
+    assert fft_conv_shape(*frames[0].shape) == grid
+    # Two gammas on one Psf, then the first again: a cache hit for the
+    # wrong gamma would differ from the reference.
+    for gamma in (1e-4, 1e-2, 1e-4):
+        cfg = WienerConfig(gamma, *scene_shape, clip01)
+        for y in frames:
+            assert np.array_equal(wiener_deconvolve(y, p, cfg),
+                                  reference_wiener(y, p, cfg))
+
+
+def test_cached_wiener_same_under_parallel_map(monkeypatch):
+    rng = np.random.default_rng(21)
+    data = rng.random((9, 9))
+    frames = noisy_frames(rng, (32, 32), Psf(data), n=8)
+    cfg = WienerConfig(1e-3, 32, 32)
+    serial_psf, shared_psf = Psf(data), Psf(data)
+    serial = [wiener_deconvolve(y, serial_psf, cfg) for y in frames]
+    # Two workers fill one fresh Psf's cache concurrently.
+    monkeypatch.setenv("FLATTRACK_THREADS", "2")
+    parallel = parallel_map(lambda y: wiener_deconvolve(y, shared_psf, cfg), frames)
+    for a, b, y in zip(parallel, serial, frames):
+        assert np.array_equal(a, b)
+        assert np.array_equal(a, reference_wiener(y, serial_psf, cfg))
 
 
 # ---------------------------------------------------------------------------
