@@ -25,6 +25,6 @@ from .regressor import (AffineRanges, EvalReport, RegressorModel, TrainConfig,
                         forward, load_model, loss_l1, model_init, save_model,
                         train)
 from .config import ExperimentConfig
-from .manifest import DatasetManifest, read_manifest, write_manifest
+from .manifest import DatasetManifest, read_manifest
 
 __all__ = [name for name in dir() if not name.startswith("_")]

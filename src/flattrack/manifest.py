@@ -113,13 +113,6 @@ def write_rows(root: str, rows: list[ManifestRow],
     return DatasetManifest(root=root, rows=rows, config=config)
 
 
-def write_manifest(root: str, samples: list[GazeSample],
-                   config: ExperimentConfig) -> DatasetManifest:
-    """Persist samples as FLTIMG files under ``root`` plus manifest + sidecar."""
-    rows = [save_sample(root, s) for s in samples]
-    return write_rows(root, rows, config)
-
-
 def read_manifest(root: str, validate: bool = True) -> DatasetManifest:
     path = os.path.join(root, MANIFEST_NAME)
     sidecar = os.path.join(root, SIDECAR_NAME)

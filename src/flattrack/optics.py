@@ -12,6 +12,7 @@ followed by height*width little-endian IEEE-754 float32 samples, row-major.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,11 @@ MAX_DIM = 1 << 16
 
 _FLTIMG_MAGIC = "FLTIMG"
 _FLTIMG_VERSION = 1
+
+# Per-thread FFT buffers (see _fft_workspace). A fresh 256x129 complex
+# spectrum (528 KiB) is above glibc's 128 KiB mmap threshold, so a call that
+# allocated its own would fault those pages in again every time.
+_workspace = threading.local()
 
 
 def _check_image(x, name: str = "image") -> np.ndarray:
@@ -136,13 +142,32 @@ def _padded_spectrum(p: Psf | np.ndarray, out_h: int, out_w: int):
     return grid, np.fft.rfft2(p, s=grid)
 
 
-def _irfft2_crop(f: np.ndarray, grid: tuple[int, int], out_h: int,
-                 out_w: int) -> np.ndarray:
-    """``np.fft.irfft2(f, s=grid)[:out_h, :out_w]``, bit for bit, with the
-    last pass run only on the kept rows (irfft2 runs the same two passes)."""
+def _fft_workspace(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Two (fh, fw//2+1) complex buffers owned by the calling thread, kept
+    for its most recent grid so that per-frame transforms reuse them."""
+    shape = (grid[0], grid[1] // 2 + 1)
+    ws = getattr(_workspace, "fft", None)
+    if ws is None or ws[0].shape != shape:
+        ws = _workspace.fft = (np.empty(shape, complex), np.empty(shape, complex))
+    return ws
+
+
+def _filter_padded(x: np.ndarray, grid: tuple[int, int], filt, out_h: int,
+                   out_w: int) -> np.ndarray:
+    """``irfft2(filt(rfft2(x, s=grid)), s=grid)[:out_h, :out_w]``, bit for bit.
+
+    The 2-D transforms run as the same 1-D passes, written into this
+    thread's workspace; ``filt`` updates the spectrum in place. Only the
+    last pass, on the kept rows, allocates, and its array is the result.
+    """
     fh, fw = grid
-    rows = np.fft.ifft(f, n=fh, axis=0)[:out_h]
-    return np.fft.irfft(rows, n=fw, axis=1)[:, :out_w]
+    a, b = _fft_workspace(grid)
+    rows = a[:x.shape[0]]
+    np.fft.rfft(x, n=fw, axis=1, out=rows)
+    np.fft.fft(rows, n=fh, axis=0, out=b)
+    filt(b)
+    np.fft.ifft(b, n=fh, axis=0, out=a)
+    return np.fft.irfft(a[:out_h], n=fw, axis=1)[:, :out_w]
 
 
 def full_convolve(x, p: Psf | np.ndarray) -> np.ndarray:
@@ -156,8 +181,8 @@ def full_convolve(x, p: Psf | np.ndarray) -> np.ndarray:
     p = _psf_operand(p)
     out_h, out_w = _full_shape(xa, p)
     grid, fp = _padded_spectrum(p, out_h, out_w)
-    fx = np.fft.rfft2(xa, s=grid)
-    return _irfft2_crop(fx * fp, grid, out_h, out_w)
+    return _filter_padded(xa, grid, lambda fx: np.multiply(fx, fp, out=fx),
+                          out_h, out_w)
 
 
 def convolve_direct(x, p: Psf | np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .optics import (Psf, _check_image, _irfft2_crop, _padded_spectrum,
+from .optics import (Psf, _check_image, _filter_padded, _padded_spectrum,
                      _psf_operand, fft_conv_shape)
 
 
@@ -82,11 +82,14 @@ def wiener_deconvolve(y, p: Psf, cfg: WienerConfig) -> np.ndarray:
             f"measurement {ya.shape} inconsistent with scene "
             f"({cfg.output_h}, {cfg.output_w}) + psf {p.shape} - 1")
     grid, _, (cfp, den) = _wiener_terms(p, *ya.shape, cfg.gamma)
-    # Grouped as in _wiener_padded, with fy named first: writing
-    # cfp * rfft2(...) / den, or premultiplying one filter, rounds differently.
-    fy = np.fft.rfft2(ya, s=grid)
-    fx = cfp * fy / den
-    out = _irfft2_crop(fx, grid, cfg.output_h, cfg.output_w)
+
+    def filt(fy):
+        # cfp * fy / den, in _wiener_padded's order: one premultiplied
+        # filter conj(H)/(|H|^2+gamma) would round differently.
+        np.multiply(cfp, fy, out=fy)
+        np.divide(fy, den, out=fy)
+
+    out = _filter_padded(ya, grid, filt, cfg.output_h, cfg.output_w)
     if cfg.clip01:
         out = np.clip(out, 0.0, 1.0)
     return out

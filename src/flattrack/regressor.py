@@ -76,10 +76,11 @@ class AffineRanges:
     scale_max: float = 1.05
 
     def __post_init__(self):
-        if self.rotation_deg < 0 or self.translate_px < 0:
-            raise ConfigError("augmentation ranges must be nonnegative")
-        if not (0 < self.scale_min <= self.scale_max):
-            raise ConfigError("scale range must satisfy 0 < min <= max")
+        # Chained comparisons, so that NaN (which compares False) fails them.
+        if not (0 <= self.rotation_deg < math.inf and 0 <= self.translate_px < math.inf):
+            raise ConfigError("augmentation ranges must be nonnegative and finite")
+        if not (0 < self.scale_min <= self.scale_max < math.inf):
+            raise ConfigError("scale range must satisfy 0 < min <= max < inf")
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1 or self.lr_step_epochs < 1:
             raise ConfigError("epochs/batch_size/lr_step_epochs out of range")
-        if self.lr < 0 or self.weight_decay < 0 or self.adam_eps <= 0:
+        # Chained comparisons, so that NaN (which compares False) fails them.
+        if not (0 <= self.lr < math.inf and 0 <= self.weight_decay < math.inf
+                and 0 < self.adam_eps < math.inf):
             raise ConfigError("lr/weight_decay/adam_eps out of range")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1
                 and 0 < self.lr_decay <= 1):
@@ -272,22 +275,35 @@ def _bilinear_sample(img: np.ndarray, Xq: np.ndarray, Yq: np.ndarray,
                      fill: float) -> np.ndarray:
     h, w = img.shape
     inside = (Xq >= 0) & (Xq <= w - 1) & (Yq >= 0) & (Yq <= h - 1)
-    x0 = np.clip(np.floor(Xq), 0, w - 2).astype(int)
-    y0 = np.clip(np.floor(Yq), 0, h - 2).astype(int)
+    x0 = np.clip(np.floor(Xq), 0, max(w - 2, 0)).astype(int)
+    y0 = np.clip(np.floor(Yq), 0, max(h - 2, 0)).astype(int)
     wx = np.clip(Xq - x0, 0.0, 1.0)
     wy = np.clip(Yq - y0, 0.0, 1.0)
-    top = img[y0, x0] * (1 - wx) + img[y0, x0 + 1] * wx
-    bot = img[y0 + 1, x0] * (1 - wx) + img[y0 + 1, x0 + 1] * wx
+    # Gather from the flattened image: one take per corner is several times
+    # faster than 2-D fancy indexing. A 1-pixel axis has no second neighbour.
+    flat = img.reshape(-1)
+    i = y0 * w + x0
+    dx, dy = min(w - 1, 1), min(h - 1, 1) * w
+    top = flat.take(i) * (1 - wx) + flat.take(i + dx) * wx
+    bot = flat.take(i + dy) * (1 - wx) + flat.take(i + dy + dx) * wx
     return np.where(inside, top * (1 - wy) + bot * wy, fill)
+
+
+# Rows per block in warp_affine: a 32x128 float64 temporary (32 KiB) stays in
+# the malloc heap and in cache; a whole 128x128 plane would be mmapped and
+# page-faulted in again on every call.
+_WARP_ROWS = 32
 
 
 def warp_affine(image, rotation_deg: float, translate: tuple[float, float],
                 scale: float) -> np.ndarray:
     """Rotate/scale about the image center, then translate; bilinear resampling.
 
-    Out-of-frame samples take the mean of the input's border pixels.
+    Out-of-frame samples take the mean of the input's border pixels. The
+    output is computed in blocks of rows, each pixel exactly as for the
+    whole image at once.
     """
-    img = np.asarray(image, dtype=float)
+    img = np.ascontiguousarray(image, dtype=float)
     if img.ndim != 2:
         raise ConfigError("warp needs a 2D image")
     h, w = img.shape
@@ -295,14 +311,17 @@ def warp_affine(image, rotation_deg: float, translate: tuple[float, float],
     th = math.radians(rotation_deg)
     c, s = math.cos(th), math.sin(th)
     inv = 1.0 / scale
-    ys, xs = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float),
-                         indexing="ij")
-    px = xs - cx - translate[0]
-    py = ys - cy - translate[1]
-    Xq = inv * (c * px + s * py) + cx
-    Yq = inv * (-s * px + c * py) + cy
     edge = np.concatenate([img[0, :], img[-1, :], img[1:-1, 0], img[1:-1, -1]])
-    return _bilinear_sample(img, Xq, Yq, fill=float(edge.mean()))
+    fill = float(edge.mean())
+    px = np.arange(w, dtype=float) - cx - translate[0]
+    out = np.empty((h, w))
+    for r in range(0, h, _WARP_ROWS):
+        ys = np.arange(r, min(r + _WARP_ROWS, h), dtype=float)
+        py = (ys - cy - translate[1])[:, None]
+        Xq = inv * (c * px + s * py) + cx
+        Yq = inv * (-s * px + c * py) + cy
+        out[r:r + _WARP_ROWS] = _bilinear_sample(img, Xq, Yq, fill)
+    return out
 
 
 def augment_affine(image, ranges: AffineRanges, seed: int) -> np.ndarray:

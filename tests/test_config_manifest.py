@@ -7,7 +7,7 @@ from flattrack.config import SCHEMA, ExperimentConfig
 from flattrack.errors import ConfigError, DataError
 from flattrack.eyesim import EyeRenderParams, render_round
 from flattrack.geometry import CalibratedScreen, GridSpec
-from flattrack.manifest import read_manifest, write_manifest
+from flattrack.manifest import read_manifest, save_sample, write_rows
 from flattrack.optics import ContourPsfParams, NoiseModel
 from flattrack.pipeline import (aggregate_per_point, partition_samples,
                                 seed_for_sample, split_train_val, worker_count)
@@ -141,7 +141,7 @@ def test_manifest_round_trip(tmp_path):
     cfg = small_config()
     samples = small_samples(cfg)
     root = str(tmp_path / "ds")
-    m = write_manifest(root, samples, cfg)
+    write_rows(root, [save_sample(root, s) for s in samples], cfg)
     back = read_manifest(root)
     assert len(back) == len(samples) == 36
     loaded = back.load_sample(back.rows[5])
@@ -154,7 +154,7 @@ def test_manifest_detects_broken_path(tmp_path):
     cfg = small_config()
     samples = small_samples(cfg, subjects=1, rounds=1)
     root = str(tmp_path / "ds")
-    write_manifest(root, samples, cfg)
+    write_rows(root, [save_sample(root, s) for s in samples], cfg)
     victim = tmp_path / "ds" / "images" / f"{samples[3].sample_id}_scene.fltimg"
     victim.unlink()
     with pytest.raises(DataError):
@@ -166,7 +166,7 @@ def test_manifest_detects_label_mismatch(tmp_path):
     samples = small_samples(cfg, subjects=1, rounds=1)
     samples[0].gaze = np.array([0.0, 0.0, 1.0])  # no longer matches screen_pt
     root = str(tmp_path / "ds")
-    write_manifest(root, samples, cfg)
+    write_rows(root, [save_sample(root, s) for s in samples], cfg)
     with pytest.raises(DataError):
         read_manifest(root)
 
@@ -180,7 +180,7 @@ def test_manifest_detects_duplicate_ids(tmp_path):
     samples[1].screen_pt = samples[0].screen_pt
     samples[1].gaze = samples[0].gaze
     root = str(tmp_path / "ds")
-    write_manifest(root, samples, cfg)
+    write_rows(root, [save_sample(root, s) for s in samples], cfg)
     with pytest.raises(DataError):
         read_manifest(root)
 

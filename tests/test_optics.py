@@ -1,4 +1,6 @@
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,10 +9,11 @@ from hypothesis import strategies as st
 
 from flattrack.errors import ConfigError, FormatError, NumericalError
 from flattrack.optics import (ContourPsfParams, NoiseModel, Psf,
-                              convolve_direct, full_convolve,
+                              _fft_workspace, convolve_direct, full_convolve,
                               generate_contour_psf, load_image, load_psf,
                               next_fast_len, save_image, save_psf,
                               simulate_measurement, spectral_flatness_ratio)
+from flattrack.pipeline import parallel_map
 from flattrack.seeds import mix_seed, splitmix64
 
 
@@ -115,9 +118,69 @@ def test_convolve_rejects_bad_input():
         full_convolve(np.array([[np.nan]]), np.ones((2, 2)))
 
 
+def test_results_do_not_share_the_fft_workspace():
+    # The transforms run through one reused buffer pair per thread; each
+    # result must still be a fresh array that a later call leaves alone.
+    rng = np.random.default_rng(8)
+    p = Psf(rng.random((9, 7)))
+    x1, x2 = rng.random((24, 30)), rng.random((24, 30))
+    for run in (lambda x: full_convolve(x, p),
+                lambda x: simulate_measurement(x, p, NoiseModel(), 4)):
+        first = run(x1)
+        kept = first.copy()
+        second = run(x2)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+        assert np.array_equal(run(x1), kept)
+
+
+def test_fft_workspace_is_per_thread():
+    grid = (30, 40)
+    a, b = _fft_workspace(grid)
+    assert a.shape == b.shape == (30, 21)
+    assert _fft_workspace(grid)[0] is a
+    got = {}
+
+    def grab(k):
+        got[k] = _fft_workspace(grid)
+
+    threads = [threading.Thread(target=grab, args=(k,)) for k in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    buffers = [a, b, *got[0], *got[1]]
+    for i, x in enumerate(buffers):
+        for y in buffers[i + 1:]:
+            assert not np.shares_memory(x, y)
+
+
 # ---------------------------------------------------------------------------
 # measurement simulation
 # ---------------------------------------------------------------------------
+
+def test_simulate_same_under_parallel_map(monkeypatch):
+    rng = np.random.default_rng(9)
+    p = Psf(rng.random((32, 32)))
+    scenes = [rng.random((96, 96)) for _ in range(16)]
+    noise = NoiseModel("gaussian", 1e-2)
+    serial = [simulate_measurement(x, p, noise, k) for k, x in enumerate(scenes)]
+    # Each worker thread has its own FFT workspace; four workers on two
+    # cores, switching often, are likely to corrupt a shared one.
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in ("2", "4"):
+            monkeypatch.setenv("FLATTRACK_THREADS", workers)
+            parallel = parallel_map(
+                lambda k: simulate_measurement(scenes[k], p, noise, k),
+                range(len(scenes)))
+            for a, b in zip(parallel, serial):
+                assert np.array_equal(a, b)
+    finally:
+        sys.setswitchinterval(interval)
+
 
 def test_simulate_noise_off_matches_convolution():
     rng = np.random.default_rng(5)

@@ -149,6 +149,20 @@ def test_cached_wiener_equals_reference(scene_shape, psf_shape, grid, clip01):
                                   reference_wiener(y, p, cfg))
 
 
+def test_wiener_results_do_not_share_the_fft_workspace():
+    rng = np.random.default_rng(22)
+    p = Psf(rng.random((9, 9)))
+    y1, y2 = noisy_frames(rng, (32, 32), p, n=2)
+    # Unclipped, so the result is the last inverse pass's own array.
+    cfg = WienerConfig(1e-3, 32, 32, clip01=False)
+    first = wiener_deconvolve(y1, p, cfg)
+    kept = first.copy()
+    second = wiener_deconvolve(y2, p, cfg)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept)
+    assert np.array_equal(first, reference_wiener(y1, p, cfg))
+
+
 def test_cached_wiener_same_under_parallel_map(monkeypatch):
     rng = np.random.default_rng(21)
     data = rng.random((9, 9))

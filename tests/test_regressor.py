@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flattrack.errors import ConfigError, FormatError, NumericalError
 from flattrack.eyesim import EyeRenderParams, GazeSample, render_round
@@ -200,6 +202,46 @@ def test_warp_translation_inverse_pair():
     back = warp_affine(fwd, 0.0, (-5.0, 0.0), 1.0)
     inner = (slice(6, -6), slice(6, -6))
     assert np.max(np.abs(back[inner] - img[inner])) < 1e-3
+
+
+def unblocked_warp(img, rotation_deg, translate, scale):
+    """warp_affine on the whole plane at once with 2-D fancy indexing: the
+    formula the row-blocked version must reproduce bit for bit."""
+    h, w = img.shape
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    th = math.radians(rotation_deg)
+    c, s = math.cos(th), math.sin(th)
+    inv = 1.0 / scale
+    ys, xs = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float),
+                         indexing="ij")
+    px = xs - cx - translate[0]
+    py = ys - cy - translate[1]
+    Xq = inv * (c * px + s * py) + cx
+    Yq = inv * (-s * px + c * py) + cy
+    edge = np.concatenate([img[0, :], img[-1, :], img[1:-1, 0], img[1:-1, -1]])
+    inside = (Xq >= 0) & (Xq <= w - 1) & (Yq >= 0) & (Yq <= h - 1)
+    x0 = np.clip(np.floor(Xq), 0, w - 2).astype(int)
+    y0 = np.clip(np.floor(Yq), 0, h - 2).astype(int)
+    wx = np.clip(Xq - x0, 0.0, 1.0)
+    wy = np.clip(Yq - y0, 0.0, 1.0)
+    top = img[y0, x0] * (1 - wx) + img[y0, x0 + 1] * wx
+    bot = img[y0 + 1, x0] * (1 - wx) + img[y0 + 1, x0 + 1] * wx
+    return np.where(inside, top * (1 - wy) + bot * wy, float(edge.mean()))
+
+
+# Heights below 32, not a multiple of 32, and one of several blocks; a
+# 1-pixel axis, where the 2-D formula indexes column or row -1.
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(128, 128), (45, 75), (33, 7), (2, 2), (1, 5), (6, 1), (1, 1)]),
+       st.floats(-30.0, 30.0), st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
+       st.floats(0.5, 2.0), st.integers(0, 2**32 - 1))
+def test_warp_blocks_equal_unblocked_formula(shape, rot, tx, ty, scale, seed):
+    img = np.random.default_rng(seed).random(shape)
+    out = warp_affine(img, rot, (tx, ty), scale)
+    assert np.array_equal(out, unblocked_warp(img, rot, (tx, ty), scale))
+    # The same pixels in Fortran order warp the same.
+    view = np.asfortranarray(img)
+    assert np.array_equal(warp_affine(view, rot, (tx, ty), scale), out)
 
 
 def test_augment_seeded_reproducible():
@@ -420,3 +462,11 @@ def test_train_config_validation():
         TrainConfig(lr=-1.0)
     with pytest.raises(ConfigError):
         AffineRanges(scale_min=0.0)
+    # NaN fails no plain `x < 0` check; inf is no usable range either.
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            TrainConfig(lr=bad)
+        with pytest.raises(ConfigError):
+            AffineRanges(rotation_deg=bad)
+    with pytest.raises(ConfigError):
+        AffineRanges(scale_max=float("inf"))
