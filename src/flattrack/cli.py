@@ -25,17 +25,18 @@ from .config import ExperimentConfig
 from .errors import ConfigError, DataError, FlatTrackError, NumericalError
 from .eyesim import GazeSample, render_round
 from .geometry import grid_angular_stats
-from .manifest import (DatasetManifest, read_manifest, save_sample,
-                       write_rows)
+from .manifest import (DatasetManifest, read_manifest, remove_dataset,
+                       save_sample, write_rows)
 from .optics import (generate_contour_psf, load_psf, save_psf,
                      simulate_measurement, spectral_flatness_ratio)
-from .pipeline import (TAG_SIMULATE, aggregate_per_point, parallel_map,
-                       partition_samples, run_protocol, seed_for_sample)
+from .pipeline import (TAG_SIMULATE, aggregate_per_point, partition_samples,
+                       run_protocol, seed_for_sample)
 from .reconstruct import reconstruct, wiener_deconvolve
 from .regressor import load_model, save_model
 from .report import (write_grid_error_svg, write_per_point_csv,
                      read_per_point_csv, write_subject_table_csv)
 from .seeds import mix_seed
+from .workers import parallel_map
 
 TAG_GENPSF = 0x9F5
 
@@ -60,11 +61,16 @@ def _resolve_config(args, manifest: DatasetManifest | None = None) -> Experiment
     return cfg
 
 
-def _prepare_out_dir(path: str, force: bool) -> None:
+def _prepare_out_dir(path: str, force: bool, in_dir: str | None = None) -> None:
+    """Create the output dir; a non-empty one needs --force, which first
+    removes an earlier dataset there, so no stale image outlives it."""
     if os.path.isdir(path) and os.listdir(path):
         if not force:
             raise DataError(f"output dir {path} exists and is not empty "
                             f"(use --force to overwrite)")
+        if in_dir is not None and os.path.samefile(path, in_dir):
+            raise DataError(f"output dir {path} is the input dir")
+        remove_dataset(path)
     os.makedirs(path, exist_ok=True)
 
 
@@ -85,12 +91,15 @@ def cmd_render_dataset(args) -> int:
     grid = cfg.grid()
     screen = cfg.screen()
     params = cfg.render_params()
-    rows = []
-    for sid in range(cfg["dataset.subjects"]):
-        for rid in range(cfg["dataset.rounds"]):
-            round_samples = render_round(grid, screen, params, sid, rid,
-                                         cfg["dataset.n_per_point"], cfg["seed"])
-            rows.extend(save_sample(args.out, s) for s in round_samples)
+
+    def one_round(ids):
+        sid, rid = ids
+        return [save_sample(args.out, s) for s in render_round(
+            grid, screen, params, sid, rid, cfg["dataset.n_per_point"], cfg["seed"])]
+
+    rounds = [(sid, rid) for sid in range(cfg["dataset.subjects"])
+              for rid in range(cfg["dataset.rounds"])]
+    rows = [row for chunk in parallel_map(one_round, rounds) for row in chunk]
     m = write_rows(args.out, rows, cfg)
     print(f"rendered {len(m)} samples "
           f"({cfg['dataset.subjects']} subjects x {cfg['dataset.rounds']} rounds) "
@@ -102,7 +111,7 @@ def _transform_dataset(args, stage_in: str, stage_out: str, make_fn) -> int:
     """Shared walk for simulate/reconstruct: map each image, keep labels."""
     m = read_manifest(getattr(args, "in_dir"))
     cfg = _resolve_config(args, m)
-    _prepare_out_dir(args.out, args.force)
+    _prepare_out_dir(args.out, args.force, m.root)
     rows = [r for r in m.rows if r.stage == stage_in]
     if not rows:
         raise DataError(f"no {stage_in!r}-stage rows in {getattr(args, 'in_dir')}")
@@ -155,7 +164,7 @@ def cmd_reconstruct(args) -> int:
 def cmd_train(args) -> int:
     m = read_manifest(getattr(args, "in_dir"))
     cfg = _resolve_config(args, m)
-    _prepare_out_dir(args.out, args.force)
+    _prepare_out_dir(args.out, args.force, m.root)
     samples = m.load_samples()
     result = run_protocol(samples, cfg, evaluate_heldout=False)
     save_model(result.base.model, os.path.join(args.out, "model_base.ftkmdl"))
@@ -186,7 +195,7 @@ def _write_split_audit(split, path) -> None:
 def cmd_eval(args) -> int:
     m = read_manifest(getattr(args, "in_dir"))
     cfg = _resolve_config(args, m)
-    _prepare_out_dir(args.out, args.force)
+    _prepare_out_dir(args.out, args.force, m.root)
     split = partition_samples(m.rows, cfg)
     screen = cfg.screen()
     from .regressor import evaluate as eval_model

@@ -8,6 +8,7 @@ coherence (gaze == screen_to_gaze(screen point)) can be re-audited on load.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 from dataclasses import dataclass
@@ -22,6 +23,8 @@ from .optics import load_image, save_image
 
 MANIFEST_NAME = "manifest.csv"
 SIDECAR_NAME = "config.cfg"
+IMAGES_DIR = "images"
+IMAGE_SUFFIX = ".fltimg"
 STAGES = ("scene", "measurement", "reconstruction")
 
 _COLUMNS = ["sample_id", "subject_id", "round_id", "grid_i", "grid_j",
@@ -86,14 +89,29 @@ class DatasetManifest:
 
 def save_sample(root: str, s: GazeSample) -> ManifestRow:
     """Write one sample's image under ``root`` and return its manifest row."""
-    os.makedirs(os.path.join(root, "images"), exist_ok=True)
-    rel = os.path.join("images", f"{s.sample_id}_{s.stage}.fltimg")
+    os.makedirs(os.path.join(root, IMAGES_DIR), exist_ok=True)
+    rel = os.path.join(IMAGES_DIR, f"{s.sample_id}_{s.stage}{IMAGE_SUFFIX}")
     save_image(s.image, os.path.join(root, rel))
     return ManifestRow(
         sample_id=s.sample_id, subject_id=s.subject_id, round_id=s.round_id,
         grid_i=s.grid_i, grid_j=s.grid_j, image_path=rel, stage=s.stage,
         gaze=np.asarray(s.gaze, dtype=float),
         screen_pt=np.asarray(s.screen_pt, dtype=float))
+
+
+def remove_dataset(root: str) -> None:
+    """Delete the manifest, then the image files, of a dataset under ``root``.
+
+    The manifest goes first, so an interrupted removal never leaves a
+    manifest that names missing images. Other files are left alone.
+    """
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(root, MANIFEST_NAME))
+    images = os.path.join(root, IMAGES_DIR)
+    if os.path.isdir(images):
+        for name in os.listdir(images):
+            if name.endswith(IMAGE_SUFFIX):
+                os.remove(os.path.join(images, name))
 
 
 def write_rows(root: str, rows: list[ManifestRow],

@@ -10,44 +10,23 @@ data, and is evaluated on their held-out round.
 from __future__ import annotations
 
 import hashlib
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .eyesim import GazeSample
 from .regressor import (TrainResult, evaluate, fine_tune, model_init, train,
                         EvalReport)
 from .seeds import make_rng, mix_seed
+from .workers import parallel_map, worker_count  # noqa: F401 (re-exported)
 
 # Purpose tags for derived seeds (stable across releases).
 TAG_SIMULATE = 0x51B
 TAG_PRETRAIN = 0x9143
 TAG_FINETUNE = 0xF17E
 TAG_SPLIT = 0x0517
-
-
-def worker_count() -> int:
-    """Parallelism cap from FLATTRACK_THREADS (default 1 = sequential)."""
-    raw = os.environ.get("FLATTRACK_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"FLATTRACK_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
-
-
-def parallel_map(fn, items):
-    """Order-preserving map, fanned out over FLATTRACK_THREADS workers."""
-    items = list(items)
-    w = worker_count()
-    if w <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=w) as ex:
-        return list(ex.map(fn, items))
 
 
 def seed_for_sample(master_seed: int, tag: int, sample_id: str) -> int:

@@ -14,7 +14,9 @@ little-endian float32 weights and cols float32 biases.
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -24,6 +26,7 @@ from .errors import ConfigError, DataError, FormatError, NumericalError
 from .geometry import (CalibratedScreen, angular_error, gaze_to_screen,
                        gaze_to_screen_jacobian, MIN_PROJECTABLE_Z)
 from .seeds import make_rng, mix_seed
+from .workers import parallel_map
 
 INPUT_SIDE = 32
 ARCH = (INPUT_SIDE * INPUT_SIDE, 128, 64, 3)
@@ -263,75 +266,214 @@ def downsample_image(image, out_h: int = INPUT_SIDE, out_w: int = INPUT_SIDE) ->
     h, w = x.shape
     if h == out_h and w == out_w:
         return x.copy()
+    if _fast_area_mean(h, w, out_h, out_w):
+        out = np.empty((out_h, out_w))
+        _area_mean(x, h // out_h, w // out_w, out, np.empty((h, out_w)))
+        return out
     if h % out_h == 0 and w % out_w == 0:
         return x.reshape(out_h, h // out_h, out_w, w // out_w).mean(axis=(1, 3))
     ys = (np.arange(out_h) + 0.5) * h / out_h - 0.5
     xs = (np.arange(out_w) + 0.5) * w / out_w - 0.5
     Yq, Xq = np.meshgrid(ys, xs, indexing="ij")
-    return _bilinear_sample(x, Xq, Yq, fill=float(x.mean()))
+    bufs = {b: np.empty(Xq.shape, dtype=t) for b, t in _SAMPLE_BUFFERS.items()}
+    return _bilinear_into(x.reshape(-1), h, w, Xq, Yq, float(x.mean()), bufs)
 
 
-def _bilinear_sample(img: np.ndarray, Xq: np.ndarray, Yq: np.ndarray,
-                     fill: float) -> np.ndarray:
-    h, w = img.shape
-    inside = (Xq >= 0) & (Xq <= w - 1) & (Yq >= 0) & (Yq <= h - 1)
-    x0 = np.clip(np.floor(Xq), 0, max(w - 2, 0)).astype(int)
-    y0 = np.clip(np.floor(Yq), 0, max(h - 2, 0)).astype(int)
-    wx = np.clip(Xq - x0, 0.0, 1.0)
-    wy = np.clip(Yq - y0, 0.0, 1.0)
-    # Gather from the flattened image: one take per corner is several times
-    # faster than 2-D fancy indexing. A 1-pixel axis has no second neighbour.
-    flat = img.reshape(-1)
-    i = y0 * w + x0
-    dx, dy = min(w - 1, 1), min(h - 1, 1) * w
-    top = flat.take(i) * (1 - wx) + flat.take(i + dx) * wx
-    bot = flat.take(i + dy) * (1 - wx) + flat.take(i + dy + dx) * wx
-    return np.where(inside, top * (1 - wy) + bot * wy, fill)
+def _fast_area_mean(h: int, w: int, out_h: int, out_w: int) -> bool:
+    """Whether _area_mean downsamples h x w to out_h x out_w exactly as
+    ``reshape(out_h, fy, out_w, fx).mean(axis=(1, 3))`` does, bit for bit.
+    That mean adds each row's fx samples left to right while fx < 8 (numpy's
+    pairwise sum regroups 8 or more), then the fy row sums in order; with
+    one output column it merges the two axes into one sum."""
+    return (h % out_h == 0 and w % out_w == 0 and h // out_h < 8
+            and w // out_w < 8 and out_w > 1)
 
 
-# Rows per block in warp_affine: a 32x128 float64 temporary (32 KiB) stays in
-# the malloc heap and in cache; a whole 128x128 plane would be mmapped and
-# page-faulted in again on every call.
+def _area_mean(x: np.ndarray, fy: int, fx: int, out: np.ndarray,
+               rows: np.ndarray) -> None:
+    """Mean of each fy x fx cell of x (..., R, W) into out (..., R//fy, W//fx),
+    summed in the order of the reshape mean (see _fast_area_mean); ``rows``
+    is scratch space of shape (..., R, W//fx)."""
+    if fx == 1:
+        rows = x
+    else:
+        np.add(x[..., 0::fx], x[..., 1::fx], out=rows)
+        for j in range(2, fx):
+            rows += x[..., j::fx]
+    if fy == 1:
+        np.copyto(out, rows)
+    else:
+        np.add(rows[..., 0::fy, :], rows[..., 1::fy, :], out=out)
+        for j in range(2, fy):
+            out += rows[..., j::fy, :]
+    if fy * fx > 1:
+        out /= fy * fx
+
+
+# The stacked warp works on _STACK images x _WARP_ROWS rows at a time: at a
+# 128-pixel width each operation covers 32k float64 values (256 KiB), enough
+# for two threads to run much of the time outside the GIL; per-sample warps
+# and stacks of 4 ran slower on two threads than on one. Its temporaries
+# live in per-thread buffers (_warp_workspace), because fresh ones this size
+# would be mmapped and page-faulted in again on every block.
+_STACK = 8
 _WARP_ROWS = 32
+_workspace = threading.local()
+
+# Scratch arrays of one bilinear sampling pass, by name and dtype.
+_SAMPLE_BUFFERS = {"p": float, "q": float, "r": float, "idx": np.intp,
+                   "inside": bool, "test": bool}
+
+
+def _warp_workspace(n: int, n_stack: int) -> dict[str, np.ndarray]:
+    """Flat scratch arrays owned by the calling thread, grown on demand:
+    n elements for each block temporary and n_stack for stacked images."""
+    ws = getattr(_workspace, "warp", None)
+    if ws is None or ws["p"].size < n or ws["stack"].size < n_stack:
+        if ws is not None:
+            n, n_stack = max(n, ws["p"].size), max(n_stack, ws["stack"].size)
+        ws = _workspace.warp = {
+            **{b: np.empty(n, dtype=t) for b, t in _SAMPLE_BUFFERS.items()},
+            "xq": np.empty(n), "yq": np.empty(n), "stack": np.empty(n_stack)}
+    return ws
+
+
+def _bilinear_into(flat: np.ndarray, h: int, w: int, xq: np.ndarray,
+                   yq: np.ndarray, fill, bufs: dict[str, np.ndarray],
+                   offset=0.0) -> np.ndarray:
+    """Bilinear samples of the h x w image(s) in ``flat`` at (xq, yq), with
+    ``fill`` outside the frame; the image of each sample starts at ``offset``
+    in ``flat``. Works in place: xq and yq are overwritten, and the result
+    is ``bufs["p"]``. Every array has the shape of xq, or broadcasts to it.
+    """
+    p, q, r, idx = bufs["p"], bufs["q"], bufs["r"], bufs["idx"]
+    inside, test = bufs["inside"], bufs["test"]
+    np.greater_equal(xq, 0, out=inside)
+    inside &= np.less_equal(xq, w - 1, out=test)
+    inside &= np.greater_equal(yq, 0, out=test)
+    inside &= np.less_equal(yq, h - 1, out=test)
+    # Corner (x0, y0), clipped so that its neighbours exist, and the weights
+    # wx, wy, left in xq, yq. A 1-pixel axis has no second neighbour.
+    np.floor(xq, out=p)
+    np.clip(p, 0, max(w - 2, 0), out=p)
+    np.floor(yq, out=q)
+    np.clip(q, 0, max(h - 2, 0), out=q)
+    xq -= p
+    np.clip(xq, 0.0, 1.0, out=xq)
+    yq -= q
+    np.clip(yq, 0.0, 1.0, out=yq)
+    q *= w
+    q += p
+    q += offset
+    np.copyto(idx, q, casting="unsafe")
+    dx, dy = min(w - 1, 1), min(h - 1, 1) * w
+    # Gather with take on the flat image(s), several times faster than 2-D
+    # fancy indexing: top = a*(1-wx) + b*wx in p, bot = c*(1-wx) + d*wx in r.
+    np.subtract(1, xq, out=q)
+    np.take(flat, idx, out=p, mode="clip")
+    p *= q
+    idx += dx
+    np.take(flat, idx, out=r, mode="clip")
+    r *= xq
+    p += r
+    idx += dy - dx
+    np.take(flat, idx, out=r, mode="clip")
+    r *= q
+    idx += dx
+    np.take(flat, idx, out=q, mode="clip")
+    q *= xq
+    r += q
+    # top*(1-wy) + bot*wy, then the fill outside the frame.
+    np.subtract(1, yq, out=xq)
+    p *= xq
+    r *= yq
+    p += r
+    np.logical_not(inside, out=inside)
+    np.copyto(p, fill, where=inside)
+    return p
+
+
+def _warp_stack(images, affines, out: np.ndarray, fy: int = 1, fx: int = 1) -> None:
+    """Warp each same-shape image by its (rotation_deg, (tx, ty), scale), as
+    warp_affine does, and write the fy x fx area mean of each warped plane
+    into out (k, h//fy, w//fx); fy = fx = 1 writes the planes themselves.
+
+    Rows are warped in blocks and each block is averaged straight into out,
+    so the warped plane is never held whole. Every output value comes from
+    the same floating-point operations, in the same order, as for one image
+    warped whole, so results do not depend on the stacking or the blocks.
+    """
+    k = len(images)
+    h, w = images[0].shape
+    rows = fy * max(1, _WARP_ROWS // fy)
+    ws = _warp_workspace(k * rows * w, k * h * w)
+    flat = ws["stack"][:k * h * w]
+    for j, img in enumerate(images):
+        flat[j * h * w:(j + 1) * h * w] = img.reshape(-1)
+
+    def per_image(values):
+        return np.array(values, dtype=float)[:, None, None]
+
+    th = [math.radians(a[0]) for a in affines]
+    c, s = per_image([math.cos(t) for t in th]), per_image([math.sin(t) for t in th])
+    inv = per_image([1.0 / a[2] for a in affines])
+    tx, ty = per_image([a[1][0] for a in affines]), per_image([a[1][1] for a in affines])
+    fill = per_image([_edge_mean(img) for img in images])
+    offset = per_image(np.arange(k) * (h * w))
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    px = np.arange(w, dtype=float) - cx - tx
+    cpx, spx = c * px, -s * px
+    for r in range(0, h, rows):
+        n_rows = min(rows, h - r)
+        n = k * n_rows * w
+        block = {b: a[:n].reshape(k, n_rows, w) for b, a in ws.items() if b != "stack"}
+        xq, yq = block["xq"], block["yq"]
+        py = np.arange(r, r + n_rows, dtype=float)[:, None] - cy - ty
+        # inv * (c*px + s*py) + cx and inv * (-s*px + c*py) + cy
+        np.add(cpx, s * py, out=xq)
+        xq *= inv
+        xq += cx
+        np.add(spx, c * py, out=yq)
+        yq *= inv
+        yq += cy
+        warped = _bilinear_into(flat, h, w, xq, yq, fill, block, offset)
+        scratch = ws["q"][:n // fx].reshape(k, n_rows, w // fx)
+        _area_mean(warped, fy, fx, out[:, r // fy:(r + n_rows) // fy], scratch)
+
+
+def _edge_mean(img: np.ndarray) -> float:
+    """Mean of the border pixels: the value of out-of-frame samples."""
+    edge = np.concatenate([img[0, :], img[-1, :], img[1:-1, 0], img[1:-1, -1]])
+    return float(edge.mean())
 
 
 def warp_affine(image, rotation_deg: float, translate: tuple[float, float],
                 scale: float) -> np.ndarray:
     """Rotate/scale about the image center, then translate; bilinear resampling.
 
-    Out-of-frame samples take the mean of the input's border pixels. The
-    output is computed in blocks of rows, each pixel exactly as for the
-    whole image at once.
+    Out-of-frame samples take the mean of the input's border pixels.
     """
     img = np.ascontiguousarray(image, dtype=float)
     if img.ndim != 2:
         raise ConfigError("warp needs a 2D image")
-    h, w = img.shape
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    th = math.radians(rotation_deg)
-    c, s = math.cos(th), math.sin(th)
-    inv = 1.0 / scale
-    edge = np.concatenate([img[0, :], img[-1, :], img[1:-1, 0], img[1:-1, -1]])
-    fill = float(edge.mean())
-    px = np.arange(w, dtype=float) - cx - translate[0]
-    out = np.empty((h, w))
-    for r in range(0, h, _WARP_ROWS):
-        ys = np.arange(r, min(r + _WARP_ROWS, h), dtype=float)
-        py = (ys - cy - translate[1])[:, None]
-        Xq = inv * (c * px + s * py) + cx
-        Yq = inv * (-s * px + c * py) + cy
-        out[r:r + _WARP_ROWS] = _bilinear_sample(img, Xq, Yq, fill)
-    return out
+    out = np.empty((1,) + img.shape)
+    _warp_stack([img], [(rotation_deg, translate, scale)], out)
+    return out[0]
 
 
-def augment_affine(image, ranges: AffineRanges, seed: int) -> np.ndarray:
-    """Seeded random affine: rotation, translation, scale within the ranges."""
+def _draw_affine(ranges: AffineRanges, seed: int):
+    """Seeded (rotation_deg, (tx, ty), scale) within the ranges."""
     rng = make_rng(seed)
     rot = rng.uniform(-ranges.rotation_deg, ranges.rotation_deg)
     tx = rng.uniform(-ranges.translate_px, ranges.translate_px)
     ty = rng.uniform(-ranges.translate_px, ranges.translate_px)
     sc = rng.uniform(ranges.scale_min, ranges.scale_max)
-    return warp_affine(image, rot, (tx, ty), sc)
+    return rot, (tx, ty), sc
+
+
+def augment_affine(image, ranges: AffineRanges, seed: int) -> np.ndarray:
+    """Seeded random affine: rotation, translation, scale within the ranges."""
+    return warp_affine(image, *_draw_affine(ranges, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -399,13 +541,38 @@ class TrainResult:
 
 def _prepare_inputs(samples, augment: bool, ranges: AffineRanges,
                     seed: int, epoch: int) -> np.ndarray:
-    dim = INPUT_SIDE * INPUT_SIDE
-    X = np.empty((len(samples), dim))
-    for i, s in enumerate(samples):
-        img = s.image
-        if augment:
-            img = augment_affine(img, ranges, mix_seed(seed, 0xA46, epoch, i))
-        X[i] = downsample_image(img).reshape(-1)
+    """Model inputs (n, 32*32): each image, augmented when asked, downsampled.
+
+    Augmented images are warped in stacks of _STACK, fanned out over the
+    worker pool; each value equals augment_affine then downsample_image.
+    """
+    n = len(samples)
+    X = np.empty((n, INPUT_SIDE * INPUT_SIDE))
+    if not augment:
+        for i, s in enumerate(samples):
+            X[i] = downsample_image(s.image).reshape(-1)
+        return X
+
+    def stack(lo):
+        hi = min(lo + _STACK, n)
+        by_shape = itertools.groupby(range(lo, hi), lambda i: np.shape(samples[i].image))
+        for shape, group in by_shape:
+            if len(shape) != 2:
+                raise ConfigError("warp needs a 2D image")
+            h, w = shape
+            ids = list(group)
+            images = [np.asarray(samples[i].image, dtype=float) for i in ids]
+            affines = [_draw_affine(ranges, mix_seed(seed, 0xA46, epoch, i)) for i in ids]
+            out = X[ids[0]:ids[-1] + 1].reshape(len(ids), INPUT_SIDE, INPUT_SIDE)
+            if _fast_area_mean(h, w, INPUT_SIDE, INPUT_SIDE):
+                _warp_stack(images, affines, out, h // INPUT_SIDE, w // INPUT_SIDE)
+            else:
+                planes = np.empty((len(ids), h, w))
+                _warp_stack(images, affines, planes)
+                for plane, row in zip(planes, out):
+                    row[...] = downsample_image(plane)
+
+    parallel_map(stack, range(0, n, _STACK))
     return X
 
 

@@ -111,6 +111,37 @@ def test_render_counts_and_force(pipeline_dirs, small_cfg_file):
     assert rc == 3  # refuses without --force
 
 
+def test_force_clears_the_earlier_dataset(tmp_path, small_cfg_file):
+    out = str(tmp_path / "scenes")
+    assert run(["render-dataset", "--config", small_cfg_file, "--out", out]) == 0
+    assert run(["render-dataset", "--config", small_cfg_file, "--out", out,
+                "--set", "dataset.subjects=1", "--force"]) == 0
+    m = read_manifest(out)
+    assert len(m) == 1 * 2 * 9
+    assert sorted(os.listdir(os.path.join(out, "images"))) == sorted(
+        os.path.basename(r.image_path) for r in m.rows)
+    # --force never clears the dataset the command reads.
+    psf = str(tmp_path / "psf.fltimg")
+    assert run(["gen-psf", "--config", small_cfg_file, "--out", psf]) == 0
+    before = sorted(os.listdir(os.path.join(out, "images")))
+    assert run(["simulate", "--in", out, "--psf", psf, "--out", out, "--force"]) == 3
+    assert sorted(os.listdir(os.path.join(out, "images"))) == before
+    assert len(read_manifest(out)) == len(m)
+
+
+def test_render_dataset_same_at_any_thread_count(tmp_path, small_cfg_file, monkeypatch):
+    written = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("FLATTRACK_THREADS", workers)
+        out = tmp_path / f"scenes_{workers}"
+        assert run(["render-dataset", "--config", small_cfg_file, "--out", str(out)]) == 0
+        written.append({str(p.relative_to(out)): p.read_bytes()
+                        for p in sorted(out.rglob("*")) if p.is_file()})
+    assert "manifest.csv" in written[0]
+    assert sum(name.endswith(".fltimg") for name in written[0]) == 2 * 2 * 9
+    assert written[0] == written[1]
+
+
 def test_simulate_dims_and_rows(pipeline_dirs):
     scenes = read_manifest(pipeline_dirs["scenes"])
     meas = read_manifest(pipeline_dirs["meas"])

@@ -1,4 +1,6 @@
 import math
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ from flattrack.regressor import (ARCH, AffineRanges, RegressorModel,
                                  batch_loss, batch_loss_and_grads,
                                  downsample_image, evaluate, fine_tune,
                                  forward, forward_batch, load_model, loss_l1,
-                                 model_init, save_model, train, warp_affine)
+                                 model_init, save_model, train, warp_affine,
+                                 _STACK, _prepare_inputs)
+from flattrack.seeds import mix_seed
 
 SCREEN = CalibratedScreen()
 GRID_9 = GridSpec(rows=3, cols=3, spacing_x_px=300, spacing_y_px=200,
@@ -267,6 +271,67 @@ def test_downsample_block_mean():
     assert np.array_equal(downsample_image(img, 4, 4), img)
     odd = np.random.default_rng(6).random((30, 30))
     assert downsample_image(odd, 8, 8).shape == (8, 8)
+
+
+def reshape_mean(x, out_h, out_w):
+    """The area mean as numpy computes it over each cell: the formula the
+    fast downsample must reproduce bit for bit."""
+    h, w = x.shape
+    return x.reshape(out_h, h // out_h, out_w, w // out_w).mean(axis=(1, 3))
+
+
+# Factors up to 9 and one output column also cover the reshape-mean fallback.
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.sampled_from([1, 2, 3, 5, 32]),
+       st.sampled_from([1, 2, 3, 5, 32]), st.floats(-8.0, 8.0), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_downsample_equals_reshape_mean(fy, fx, out_h, out_w, exponent, signed, seed):
+    scale = 10.0 ** exponent
+    x = np.random.default_rng(seed).random((out_h * fy, out_w * fx)) * scale
+    if signed:
+        x -= 0.5 * scale
+    assert np.array_equal(downsample_image(x, out_h, out_w),
+                          reshape_mean(x, out_h, out_w))
+
+
+# Sides that are multiples of 32 (block area mean), and sides that are not
+# (whole warped planes, then the bilinear resize); 2 stacks and a remainder.
+@pytest.mark.parametrize("shape", [(128, 128), (100, 100), (45, 75)])
+def test_stacked_augmentation_equals_per_sample(shape, monkeypatch):
+    rng = np.random.default_rng(21)
+    samples = [SimpleNamespace(image=rng.random(shape)) for _ in range(2 * _STACK + 3)]
+    ranges = AffineRanges(rotation_deg=20.0, translate_px=8.0,
+                          scale_min=0.8, scale_max=1.2)
+    seed, epoch = 5, 3
+    expected = np.stack([
+        downsample_image(augment_affine(s.image, ranges,
+                                        mix_seed(seed, 0xA46, epoch, i))).reshape(-1)
+        for i, s in enumerate(samples)])
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in ("1", "2", "4"):
+            monkeypatch.setenv("FLATTRACK_THREADS", workers)
+            X = _prepare_inputs(samples, True, ranges, seed, epoch)
+            assert np.array_equal(X, expected)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_training_identical_at_any_thread_count(tmp_path, monkeypatch):
+    params = EyeRenderParams()  # 128x128 scenes: the block area-mean path
+    tr = [s for r in (0, 1) for s in render_round(GRID_9, SCREEN, params, 0, r, 1, 11)]
+    va = render_round(GRID_9, SCREEN, params, 0, 2, 1, 11)
+    cfg = TrainConfig(epochs=2, lr=1e-3, batch_size=8, seed=7)
+    models = []
+    for workers in ("1", "2", "4"):
+        monkeypatch.setenv("FLATTRACK_THREADS", workers)
+        path = tmp_path / f"model_{workers}.ftkmdl"
+        save_model(train(model_init(3), tr, va, cfg, SCREEN).model, path)
+        models.append(path.read_bytes())
+    assert models[0] == models[1] == models[2]
+    save_model(model_init(3), tmp_path / "init.ftkmdl")
+    assert models[0] != (tmp_path / "init.ftkmdl").read_bytes()  # it trained
 
 
 # ---------------------------------------------------------------------------
