@@ -70,6 +70,9 @@ class DatasetManifest:
             path = os.path.join(self.root, r.image_path)
             if not os.path.isfile(path):
                 raise DataError(f"{r.sample_id}: missing image {path}")
+            # NaN fails every `> tol` test below, so check finiteness first.
+            if not (np.all(np.isfinite(r.gaze)) and np.all(np.isfinite(r.screen_pt))):
+                raise DataError(f"{r.sample_id}: non-finite gaze or screen point")
             if abs(float(np.linalg.norm(r.gaze)) - 1.0) > 1e-6:
                 raise DataError(f"{r.sample_id}: gaze not unit-norm")
             expect = screen_to_gaze(r.screen_pt, screen)

@@ -157,16 +157,20 @@ def _filter_padded(x: np.ndarray, grid: tuple[int, int], filt, out_h: int,
     """``irfft2(filt(rfft2(x, s=grid)), s=grid)[:out_h, :out_w]``, bit for bit.
 
     The 2-D transforms run as the same 1-D passes, written into this
-    thread's workspace; ``filt`` updates the spectrum in place. Only the
-    last pass, on the kept rows, allocates, and its array is the result.
+    thread's workspace; ``filt`` updates the spectrum in place. The row
+    pass fills the top rows and the pad rows are zeroed in place, so the
+    column pass needs no padded copy. Only the last pass, on the kept rows,
+    allocates, and its array is the result.
     """
-    fh, fw = grid
+    fw = grid[1]
     a, b = _fft_workspace(grid)
-    rows = a[:x.shape[0]]
-    np.fft.rfft(x, n=fw, axis=1, out=rows)
-    np.fft.fft(rows, n=fh, axis=0, out=b)
+    h = x.shape[0]
+    np.fft.rfft(x, n=fw, axis=1, out=a[:h])
+    # The previous call's inverse pass left data in the pad rows.
+    a[h:] = 0
+    np.fft.fft(a, axis=0, out=b)
     filt(b)
-    np.fft.ifft(b, n=fh, axis=0, out=a)
+    np.fft.ifft(b, axis=0, out=a)
     return np.fft.irfft(a[:out_h], n=fw, axis=1)[:, :out_w]
 
 

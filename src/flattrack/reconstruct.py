@@ -52,18 +52,27 @@ def _wiener_padded(y: np.ndarray, p: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def _wiener_terms(p: Psf | np.ndarray, out_h: int, out_w: int, gamma: float):
-    """The padded grid, the PSF spectrum H and the Wiener terms conj(H) and
-    |H|^2 + gamma for an (out_h, out_w) measurement: memoised on a Psf per
-    (grid, gamma). The terms stay apart, since one premultiplied filter
-    would round differently from ``_wiener_padded``."""
+    """The padded grid and, for the PSF spectrum H on it, conj(H) and the
+    reciprocal of |H|^2 + gamma for an (out_h, out_w) measurement: memoised
+    on a Psf per (grid, gamma).
+
+    The reciprocal is repeated along each row so that it lines up with the
+    spectrum's float view (re, im, re, im, ...). For a real divisor d,
+    numpy's complex division computes ``(re + im*0) * (1/d)`` and
+    ``(im - re*0) * (1/d)``, so scaling ``conj(H) * Y`` by ``1/d`` gives the
+    quotient of ``_wiener_padded`` bit for bit; only a component that is
+    exactly zero may come out with the other sign of zero. The product comes
+    first on purpose: one premultiplied filter conj(H)/(|H|^2+gamma) would
+    round differently.
+    """
     grid, fp = _padded_spectrum(p, out_h, out_w)
 
     def terms():
-        return np.conj(fp), np.abs(fp) ** 2 + gamma
+        return np.conj(fp), np.repeat(1.0 / (np.abs(fp) ** 2 + gamma), 2, axis=1)
 
     if isinstance(p, Psf):
-        return grid, fp, p._memo(("wiener", grid, gamma), terms)
-    return grid, fp, terms()
+        return grid, p._memo(("wiener", grid, gamma), terms)
+    return grid, terms()
 
 
 def wiener_deconvolve(y, p: Psf, cfg: WienerConfig) -> np.ndarray:
@@ -81,13 +90,13 @@ def wiener_deconvolve(y, p: Psf, cfg: WienerConfig) -> np.ndarray:
         raise ConfigError(
             f"measurement {ya.shape} inconsistent with scene "
             f"({cfg.output_h}, {cfg.output_w}) + psf {p.shape} - 1")
-    grid, _, (cfp, den) = _wiener_terms(p, *ya.shape, cfg.gamma)
+    grid, (cfp, inv_den) = _wiener_terms(p, *ya.shape, cfg.gamma)
 
     def filt(fy):
-        # cfp * fy / den, in _wiener_padded's order: one premultiplied
-        # filter conj(H)/(|H|^2+gamma) would round differently.
+        # cfp * fy / den as cfp * fy, then a real multiply by 1/den.
         np.multiply(cfp, fy, out=fy)
-        np.divide(fy, den, out=fy)
+        v = fy.view(float)
+        np.multiply(v, inv_den, out=v)
 
     out = _filter_padded(ya, grid, filt, cfg.output_h, cfg.output_w)
     if cfg.clip01:
@@ -147,7 +156,8 @@ def gradient_descent_tikhonov(y, p: Psf, gamma: float, max_iter: int = 200000,
     ya = _check_image(y, "measurement")
     if not (math.isfinite(gamma) and gamma > 0):
         raise ConfigError("gamma must be positive and finite")
-    grid, fp, (cfp, den) = _wiener_terms(_psf_operand(p), *ya.shape, gamma)
+    grid, fp = _padded_spectrum(_psf_operand(p), *ya.shape)
+    cfp, den = np.conj(fp), np.abs(fp) ** 2 + gamma
     ypad = np.zeros(grid)
     ypad[:ya.shape[0], :ya.shape[1]] = ya
     fy = np.fft.rfft2(ypad)

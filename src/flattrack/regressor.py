@@ -771,12 +771,18 @@ def load_model(path) -> RegressorModel:
                 raise FormatError(f"{path}: non-integer dims for layer {k}") from e
             if rows <= 0 or cols <= 0 or rows * cols > (1 << 26):
                 raise FormatError(f"{path}: implausible dims {rows}x{cols}")
+            if weights and rows != weights[-1].shape[1]:
+                raise FormatError(f"{path}: layer {k} input dim breaks the chain")
             wraw = f.read(4 * rows * cols)
             braw = f.read(4 * cols)
             if len(wraw) != 4 * rows * cols or len(braw) != 4 * cols:
                 raise FormatError(f"{path}: truncated layer {k}")
-            weights.append(np.frombuffer(wraw, dtype="<f4").reshape(rows, cols).astype(float))
-            biases.append(np.frombuffer(braw, dtype="<f4").astype(float))
+            w = np.frombuffer(wraw, dtype="<f4").reshape(rows, cols).astype(float)
+            b = np.frombuffer(braw, dtype="<f4").astype(float)
+            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+                raise FormatError(f"{path}: non-finite parameters in layer {k}")
+            weights.append(w)
+            biases.append(b)
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after last layer")
     return RegressorModel(weights, biases)

@@ -6,6 +6,7 @@ SVG is written by hand (textual, diffable, no plotting dependency).
 from __future__ import annotations
 
 import csv
+import math
 
 from .errors import DataError
 
@@ -32,9 +33,18 @@ def read_per_point_csv(path) -> dict[tuple[int, int], tuple[float, int]]:
             raise DataError(f"{path}: unexpected per-point columns {header}")
         for rec in reader:
             try:
-                out[(int(rec[0]), int(rec[1]))] = (float(rec[2]), int(rec[3]))
+                key = (int(rec[0]), int(rec[1]))
+                err, count = float(rec[2]), int(rec[3])
             except (ValueError, IndexError) as e:
                 raise DataError(f"{path}: bad row {rec}") from e
+            # A NaN error would make the map's largest error NaN, and a
+            # negative index would draw its point off the map.
+            if not (math.isfinite(err) and err >= 0 and count > 0
+                    and min(key) >= 0):
+                raise DataError(f"{path}: bad index, error or count in row {rec}")
+            if key in out:
+                raise DataError(f"{path}: duplicate grid point {key}")
+            out[key] = (err, count)
     if not out:
         raise DataError(f"{path}: empty per-point table")
     return out

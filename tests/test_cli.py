@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 
@@ -234,6 +235,32 @@ def test_grid_report_svg(tmp_path, pipeline_dirs):
                 os.path.join(pipeline_dirs["eval"], "per_point.csv"),
                 "--out", svg]) == 0
     assert open(svg).read().count("<circle") == 9
+
+
+def test_non_finite_manifest_label_exit_code(tmp_path, pipeline_dirs):
+    src = pipeline_dirs["scenes"]
+    ds = tmp_path / "ds"
+    shutil.copytree(src, ds)
+    with open(ds / "manifest.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    rows[3][rows[0].index("screen_x_px")] = "nan"
+    with open(ds / "manifest.csv", "w", newline="") as f:
+        csv.writer(f).writerows(rows)
+    assert run(["simulate", "--in", str(ds), "--psf", pipeline_dirs["psf"],
+                "--out", str(tmp_path / "meas")]) == 3
+
+
+def test_non_finite_model_weights_exit_code(tmp_path, pipeline_dirs):
+    models = tmp_path / "models"
+    shutil.copytree(pipeline_dirs["models"], models)
+    path = models / "model_s00.ftkmdl"
+    data = bytearray(path.read_bytes())
+    # The first weight follows the header line and the first dims line.
+    start = data.index(b"\n", data.index(b"\n") + 1) + 1
+    data[start:start + 4] = np.float32(np.inf).tobytes()
+    path.write_bytes(bytes(data))
+    assert run(["eval", "--in", pipeline_dirs["recon"], "--models", str(models),
+                "--out", str(tmp_path / "eval"), "--psf", pipeline_dirs["psf"]]) == 3
 
 
 def test_grid_stats_cmd(tmp_path, small_cfg_file):

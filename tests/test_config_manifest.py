@@ -185,6 +185,21 @@ def test_manifest_detects_duplicate_ids(tmp_path):
         read_manifest(root)
 
 
+@pytest.mark.parametrize("field, k", [("gaze", 0), ("gaze", 2),
+                                      ("screen_pt", 0), ("screen_pt", 1)])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_manifest_rejects_non_finite_labels(tmp_path, field, k, bad):
+    cfg = small_config()
+    samples = small_samples(cfg, subjects=1, rounds=1)
+    label = getattr(samples[2], field).copy()
+    label[k] = bad
+    setattr(samples[2], field, label)
+    root = str(tmp_path / "ds")
+    write_rows(root, [save_sample(root, s) for s in samples], cfg)
+    with pytest.raises(DataError, match="non-finite"):
+        read_manifest(root)
+
+
 def test_manifest_missing_files(tmp_path):
     with pytest.raises(DataError):
         read_manifest(str(tmp_path / "nothere"))
@@ -278,6 +293,18 @@ def test_per_point_csv_round_trip(tmp_path):
     path = tmp_path / "pp.csv"
     write_per_point_csv(table, path)
     assert read_per_point_csv(path) == table
+
+
+@pytest.mark.parametrize("row", ["1,0,nan,3", "1,0,inf,3", "1,0,-0.5,3",
+                                 "1,0,1.5,0", "1,0,1.5,-2", "-1,0,1.5,3",
+                                 "1,-2,1.5,3", "0,1,1.5,3"])
+def test_per_point_csv_rejects_bad_rows(tmp_path, row):
+    path = tmp_path / "pp.csv"
+    write_per_point_csv({(0, 0): (1.0, 3), (0, 1): (2.0, 3)}, path)
+    with open(path, "a") as f:
+        f.write(row + "\n")
+    with pytest.raises(DataError):
+        read_per_point_csv(path)
 
 
 def test_grid_error_svg(tmp_path):

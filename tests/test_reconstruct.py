@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from flattrack.errors import ConfigError
-from flattrack.optics import (NoiseModel, Psf, fft_conv_shape, full_convolve,
-                              simulate_measurement)
+from flattrack.optics import (ContourPsfParams, NoiseModel, Psf,
+                              fft_conv_shape, full_convolve,
+                              generate_contour_psf, simulate_measurement)
 from flattrack.pipeline import parallel_map
 from flattrack.reconstruct import (WienerConfig, _wiener_padded,
                                    gradient_descent_tikhonov, psnr,
@@ -133,11 +134,16 @@ def noisy_frames(rng, scene_shape, p: Psf, n: int = 3) -> list:
 @pytest.mark.parametrize("scene_shape, psf_shape, grid", [
     ((20, 33), (7, 4), (27, 36)),    # non-square scene and PSF
     ((40, 66), (6, 10), (45, 75)),   # odd 5-smooth grid: irfft with odd n
+    # The live frame: a 128x128 scene through the 128x128 contour PSF.
+    pytest.param((128, 128), (128, 128), (256, 256), id="live-geometry"),
 ])
 @pytest.mark.parametrize("clip01", [False, True])
 def test_cached_wiener_equals_reference(scene_shape, psf_shape, grid, clip01):
     rng = np.random.default_rng(20)
-    p = Psf(rng.random(psf_shape))
+    if grid == (256, 256):
+        p = generate_contour_psf(*psf_shape, ContourPsfParams(), 5)
+    else:
+        p = Psf(rng.random(psf_shape))
     frames = noisy_frames(rng, scene_shape, p)
     assert fft_conv_shape(*frames[0].shape) == grid
     # Two gammas on one Psf, then the first again: a cache hit for the
@@ -145,6 +151,27 @@ def test_cached_wiener_equals_reference(scene_shape, psf_shape, grid, clip01):
     for gamma in (1e-4, 1e-2, 1e-4):
         cfg = WienerConfig(gamma, *scene_shape, clip01)
         for y in frames:
+            assert np.array_equal(wiener_deconvolve(y, p, cfg),
+                                  reference_wiener(y, p, cfg))
+
+
+def test_fft_pad_rows_do_not_go_stale():
+    # Both operand pairs give a 14x24 output on the same 15x24 grid, so they
+    # share this thread's FFT workspace, and the scene heights (10, 6) and
+    # measurement heights (14) leave pad rows that the previous call's
+    # inverse pass filled.
+    rng = np.random.default_rng(23)
+    pairs = [(rng.random((10, 20)), Psf(rng.random((5, 5)))),
+             (rng.random((6, 20)), Psf(rng.random((9, 5))))]
+    for _ in range(3):
+        for x, p in pairs:
+            grid = fft_conv_shape(14, 24)
+            assert grid == (15, 24)
+            y = full_convolve(x, p)
+            ref = np.fft.irfft2(np.fft.rfft2(x, s=grid) * np.fft.rfft2(p.data, s=grid),
+                                s=grid)[:14, :24]
+            assert np.array_equal(y, ref)
+            cfg = cfg_for(x, p, gamma=1e-3)
             assert np.array_equal(wiener_deconvolve(y, p, cfg),
                                   reference_wiener(y, p, cfg))
 

@@ -518,6 +518,24 @@ def test_model_load_errors(tmp_path):
     path.write_bytes(truncated)
     with pytest.raises(FormatError):
         load_model(path)
+    # Well-formed layers whose dims do not chain (4x3, then 5x3).
+    def layer(rows):
+        return f"{rows} 3\n".encode() + np.zeros(3 * rows + 3, "<f4").tobytes()
+
+    path.write_bytes(b"FTKMDL1 2\n" + layer(4) + layer(5))
+    with pytest.raises(FormatError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("layer", [0, 2])
+def test_model_load_rejects_non_finite_weights(tmp_path, bad, layer):
+    m = model_init(24)
+    m.weights[layer][0, 1] = bad  # after validation, as a corrupt file would
+    path = tmp_path / "bad.ftkmdl"
+    save_model(m, path)
+    with pytest.raises(FormatError, match="non-finite"):
+        load_model(path)
 
 
 def test_train_config_validation():
