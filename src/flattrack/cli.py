@@ -15,6 +15,7 @@ Exit codes: 0 ok, 2 config error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import os
 import sys
 
@@ -29,8 +30,9 @@ from .manifest import (DatasetManifest, read_manifest, remove_dataset,
                        save_sample, write_rows)
 from .optics import (generate_contour_psf, load_psf, save_psf,
                      simulate_measurement, spectral_flatness_ratio)
-from .pipeline import (TAG_SIMULATE, aggregate_per_point, partition_samples,
-                       run_protocol, seed_for_sample)
+from .pipeline import (TAG_SIMULATE, aggregate_per_point, load_pool,
+                       partition_samples, run_protocol, seed_for_sample,
+                       train_protocol)
 from .reconstruct import reconstruct, wiener_deconvolve
 from .regressor import load_model, save_model
 from .report import (write_grid_error_svg, write_per_point_csv,
@@ -61,16 +63,32 @@ def _resolve_config(args, manifest: DatasetManifest | None = None) -> Experiment
     return cfg
 
 
-def _prepare_out_dir(path: str, force: bool, in_dir: str | None = None) -> None:
+# The files `train` writes; --force removes them before training.
+TRAIN_OUTPUTS = ("model_*.ftkmdl", "history_*.csv", "splits.csv")
+
+
+def _remove_training_outputs(path: str) -> None:
+    """Delete the files an earlier `train` wrote under ``path``, so that no
+    model of that run outlives a new one. Other files are left alone."""
+    for name in os.listdir(path):
+        full = os.path.join(path, name)
+        if (any(fnmatch.fnmatchcase(name, pat) for pat in TRAIN_OUTPUTS)
+                and os.path.isfile(full)):
+            os.remove(full)
+
+
+def _prepare_out_dir(path: str, force: bool, in_dir: str | None = None,
+                     remove=remove_dataset) -> None:
     """Create the output dir; a non-empty one needs --force, which first
-    removes an earlier dataset there, so no stale image outlives it."""
+    removes what the command wrote there before (``remove``: an earlier
+    dataset by default), so no stale output outlives it."""
     if os.path.isdir(path) and os.listdir(path):
         if not force:
             raise DataError(f"output dir {path} exists and is not empty "
                             f"(use --force to overwrite)")
         if in_dir is not None and os.path.samefile(path, in_dir):
             raise DataError(f"output dir {path} is the input dir")
-        remove_dataset(path)
+        remove(path)
     os.makedirs(path, exist_ok=True)
 
 
@@ -164,9 +182,10 @@ def cmd_reconstruct(args) -> int:
 def cmd_train(args) -> int:
     m = read_manifest(getattr(args, "in_dir"))
     cfg = _resolve_config(args, m)
-    _prepare_out_dir(args.out, args.force, m.root)
-    samples = m.load_samples()
-    result = run_protocol(samples, cfg, evaluate_heldout=False)
+    _prepare_out_dir(args.out, args.force, m.root, _remove_training_outputs)
+    # Partition the rows first, so that only the pooled rounds are loaded.
+    split = load_pool(partition_samples(m.rows, cfg), m.load_sample)
+    result = train_protocol(split, cfg)
     save_model(result.base.model, os.path.join(args.out, "model_base.ftkmdl"))
     result.base.write_history_csv(os.path.join(args.out, "history_base.csv"))
     for sid, tr in sorted(result.per_subject.items()):

@@ -102,6 +102,14 @@ def save_sample(root: str, s: GazeSample) -> ManifestRow:
         screen_pt=np.asarray(s.screen_pt, dtype=float))
 
 
+def _is_image_path(rel: str) -> bool:
+    """Whether ``rel`` names a file directly in the dataset's images
+    directory, as save_sample writes it: no absolute path, no ``..``."""
+    parts = rel.split("/")
+    return (len(parts) == 2 and parts[0] == IMAGES_DIR
+            and parts[1].endswith(IMAGE_SUFFIX) and parts[1] != IMAGE_SUFFIX)
+
+
 def remove_dataset(root: str) -> None:
     """Delete the manifest, then the image files, of a dataset under ``root``.
 
@@ -160,6 +168,9 @@ def read_manifest(root: str, validate: bool = True) -> DatasetManifest:
                     screen_pt=np.array([float(rec[10]), float(rec[11])])))
             except ValueError as e:
                 raise DataError(f"{path}: unparsable row {rec}") from e
+            if not _is_image_path(rows[-1].image_path):
+                raise DataError(f"{path}: image path {rec[5]!r} is not "
+                                f"{IMAGES_DIR}/<name>{IMAGE_SUFFIX}")
     m = DatasetManifest(root=root, rows=rows, config=config)
     if validate:
         m.validate()

@@ -285,15 +285,28 @@ def spectral_flatness_ratio(p: Psf) -> float:
 # ---------------------------------------------------------------------------
 
 def save_image(x, path) -> None:
-    """Write a 2D array as FLTIMG (float32, bit-exact round trip)."""
-    xa = _check_image(x)
+    """Write a 2D array as FLTIMG (float32, bit-exact round trip).
+
+    The array is checked as given and cast only when it is not already
+    little-endian float32; its buffer is written as it is.
+    """
+    xa = np.asarray(x)
+    if xa.ndim != 2 or xa.size == 0:
+        raise ConfigError("image must be a non-empty 2D array")
+    if not np.all(np.isfinite(xa)):
+        raise NumericalError("image contains non-finite values")
+    xa = np.ascontiguousarray(xa, dtype="<f4")
     with open(path, "wb") as f:
         f.write(f"{_FLTIMG_MAGIC}{_FLTIMG_VERSION} {xa.shape[0]} {xa.shape[1]}\n".encode("ascii"))
-        f.write(xa.astype("<f4").tobytes())
+        f.write(xa)
 
 
 def load_image(path) -> np.ndarray:
-    """Read an FLTIMG file into a float64 2D array."""
+    """Read an FLTIMG file into a writable float32 2D array.
+
+    Images stay float32 at rest; every kernel converts its input to float64,
+    which is exact.
+    """
     with open(path, "rb") as f:
         header = f.readline(64)
         if not header.endswith(b"\n"):
@@ -310,10 +323,9 @@ def load_image(path) -> np.ndarray:
             raise FormatError(f"{path}: non-integer dims in header") from e
         if h <= 0 or w <= 0 or h > MAX_DIM or w > MAX_DIM:
             raise FormatError(f"{path}: implausible dims {h}x{w}")
-        raw = f.read(4 * h * w + 1)
-        if len(raw) != 4 * h * w:
+        data = np.empty((h, w), dtype="<f4")
+        if f.readinto(data) != data.nbytes or f.read(1):
             raise FormatError(f"{path}: truncated or oversized payload")
-    data = np.frombuffer(raw, dtype="<f4").reshape(h, w).astype(float)
     if not np.all(np.isfinite(data)):
         raise FormatError(f"{path}: non-finite samples")
     return data

@@ -111,29 +111,52 @@ class ProtocolResult:
         return {sid: r.mean_err_deg for sid, r in self.reports.items()}
 
 
-def run_protocol(samples: list[GazeSample], config: ExperimentConfig,
-                 evaluate_heldout: bool = True,
-                 latency_iters: int = 100) -> ProtocolResult:
-    """Pretrain across subjects, fine-tune per subject, evaluate held-out rounds."""
-    split = partition_samples(samples, config)
+def load_pool(split: ProtocolSplit, load) -> ProtocolSplit:
+    """The same partition with each pooled item replaced by ``load(item)``,
+    called once per item. The held-out items are kept as they are, so a
+    split of manifest rows never opens a held-out image."""
+    loaded = {it.sample_id: load(it) for it in split.train_pool + split.val_pool}
+
+    def get(items):
+        return [loaded[it.sample_id] for it in items]
+
+    return ProtocolSplit(
+        heldout=split.heldout, train_pool=get(split.train_pool),
+        val_pool=get(split.val_pool),
+        per_subject={sid: (get(tr), get(va))
+                     for sid, (tr, va) in split.per_subject.items()})
+
+
+def train_protocol(split: ProtocolSplit, config: ExperimentConfig) -> ProtocolResult:
+    """Pretrain on the pooled rounds, then fine-tune a copy per subject.
+
+    Reads the pooled samples of ``split`` only, never its held-out rounds.
+    """
     screen = config.screen()
     master = config["seed"]
-    base_model = model_init(master)
-    base = train(base_model, split.train_pool, split.val_pool,
+    base = train(model_init(master), split.train_pool, split.val_pool,
                  config.train_config(seed=mix_seed(master, TAG_PRETRAIN)),
                  screen)
     per_subject: dict[int, TrainResult] = {}
-    reports: dict[int, EvalReport] = {}
     for sid in sorted(split.heldout):
         tr, va = split.per_subject[sid]
         cfg_ft = config.train_config(seed=mix_seed(master, TAG_FINETUNE, sid),
                                      finetune=True)
         per_subject[sid] = fine_tune(base.model, tr, va, cfg_ft, screen)
-        if evaluate_heldout:
-            reports[sid] = evaluate(per_subject[sid].model, split.heldout[sid],
-                                    screen, latency_iters=latency_iters)
-    return ProtocolResult(base=base, per_subject=per_subject, split=split,
-                          reports=reports)
+    return ProtocolResult(base=base, per_subject=per_subject, split=split)
+
+
+def run_protocol(samples: list[GazeSample], config: ExperimentConfig,
+                 evaluate_heldout: bool = True,
+                 latency_iters: int = 100) -> ProtocolResult:
+    """Pretrain across subjects, fine-tune per subject, evaluate held-out rounds."""
+    result = train_protocol(partition_samples(samples, config), config)
+    if evaluate_heldout:
+        screen = config.screen()
+        for sid, heldout in sorted(result.split.heldout.items()):
+            result.reports[sid] = evaluate(result.per_subject[sid].model, heldout,
+                                           screen, latency_iters=latency_iters)
+    return result
 
 
 def aggregate_per_point(reports: dict[int, EvalReport]) -> dict[tuple[int, int], tuple[float, int]]:

@@ -408,8 +408,11 @@ def _warp_stack(images, affines, out: np.ndarray, fy: int = 1, fx: int = 1) -> N
     rows = fy * max(1, _WARP_ROWS // fy)
     ws = _warp_workspace(k * rows * w, k * h * w)
     flat = ws["stack"][:k * h * w]
-    for j, img in enumerate(images):
-        flat[j * h * w:(j + 1) * h * w] = img.reshape(-1)
+    planes = flat.reshape(k, h, w)
+    # The copy converts to float64, and the fill is reduced from it: a
+    # float32 image's own mean would round differently.
+    for plane, img in zip(planes, images):
+        plane[...] = img
 
     def per_image(values):
         return np.array(values, dtype=float)[:, None, None]
@@ -418,7 +421,7 @@ def _warp_stack(images, affines, out: np.ndarray, fy: int = 1, fx: int = 1) -> N
     c, s = per_image([math.cos(t) for t in th]), per_image([math.sin(t) for t in th])
     inv = per_image([1.0 / a[2] for a in affines])
     tx, ty = per_image([a[1][0] for a in affines]), per_image([a[1][1] for a in affines])
-    fill = per_image([_edge_mean(img) for img in images])
+    fill = per_image([_edge_mean(plane) for plane in planes])
     offset = per_image(np.arange(k) * (h * w))
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     px = np.arange(w, dtype=float) - cx - tx
@@ -481,34 +484,52 @@ def augment_affine(image, ranges: AffineRanges, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class AdamState:
-    """Per-parameter first/second moment accumulators."""
+    """First/second moment accumulators and one scratch array per parameter.
+
+    A layer's arrays are allocated, the moments as zeros, at its first
+    update, so a layer that is never trained (frozen in fine-tuning) gets
+    none.
+    """
 
     def __init__(self, m: RegressorModel):
-        self.mw = [np.zeros_like(w) for w in m.weights]
-        self.vw = [np.zeros_like(w) for w in m.weights]
-        self.mb = [np.zeros_like(b) for b in m.biases]
-        self.vb = [np.zeros_like(b) for b in m.biases]
+        self.slots: list[list[tuple[np.ndarray, ...]] | None] = [None] * m.n_layers
         self.t = 0
 
     def step(self, model: RegressorModel, grads_w, grads_b, lr: float,
              cfg: TrainConfig, trainable: set[int]):
+        """One in-place update of the trainable layers. It consumes the
+        gradient arrays: they hold scratch values afterwards."""
         self.t += 1
         b1, b2 = cfg.adam_beta1, cfg.adam_beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for k in range(model.n_layers):
-            if k not in trainable:
-                continue
-            for theta, g, mom, vel in (
-                (model.weights[k], grads_w[k], self.mw[k], self.vw[k]),
-                (model.biases[k], grads_b[k], self.mb[k], self.vb[k]),
-            ):
-                g = g + cfg.weight_decay * theta
+        for k in sorted(trainable):
+            params = (model.weights[k], model.biases[k])
+            if self.slots[k] is None:
+                self.slots[k] = [(np.zeros_like(p), np.zeros_like(p), np.empty_like(p))
+                                 for p in params]
+            for theta, g, (mom, vel, s) in zip(params, (grads_w[k], grads_b[k]),
+                                               self.slots[k]):
+                # The operations of g' = g + wd*theta, mom = b1*mom + (1-b1)*g',
+                # vel = b2*vel + (1-b2)*g'*g' and
+                # theta -= lr*(mom/c1) / (sqrt(vel/c2) + eps), in that order,
+                # with g' in s and the temporaries in g and s.
+                np.multiply(cfg.weight_decay, theta, out=s)
+                np.add(g, s, out=s)
                 mom *= b1
-                mom += (1 - b1) * g
+                np.multiply(1 - b1, s, out=g)
+                mom += g
                 vel *= b2
-                vel += (1 - b2) * g * g
-                theta -= lr * (mom / c1) / (np.sqrt(vel / c2) + cfg.adam_eps)
+                np.multiply(1 - b2, s, out=g)
+                g *= s
+                vel += g
+                np.divide(mom, c1, out=s)
+                np.multiply(lr, s, out=s)
+                np.divide(vel, c2, out=g)
+                np.sqrt(g, out=g)
+                g += cfg.adam_eps
+                s /= g
+                theta -= s
 
 
 @dataclass
@@ -561,7 +582,7 @@ def _prepare_inputs(samples, augment: bool, ranges: AffineRanges,
                 raise ConfigError("warp needs a 2D image")
             h, w = shape
             ids = list(group)
-            images = [np.asarray(samples[i].image, dtype=float) for i in ids]
+            images = [np.asarray(samples[i].image) for i in ids]
             affines = [_draw_affine(ranges, mix_seed(seed, 0xA46, epoch, i)) for i in ids]
             out = X[ids[0]:ids[-1] + 1].reshape(len(ids), INPUT_SIDE, INPUT_SIDE)
             if _fast_area_mean(h, w, INPUT_SIDE, INPUT_SIDE):
@@ -614,6 +635,7 @@ def train(m: RegressorModel, train_set, val_set, cfg: TrainConfig,
     # The starting weights are a selection candidate too, so a run that never
     # improves validation (or fine-tuning on a hard subject) cannot regress.
     best = model.copy()
+    best_params = best.weights + best.biases
     _, best_err, _ = _val_metrics(model, X_val, gt_val, gaze_val, screen)
     best_epoch = -1
     n = len(train_set)
@@ -645,7 +667,8 @@ def train(m: RegressorModel, train_set, val_set, cfg: TrainConfig,
                                   skipped, skip_val))
         if val_err < best_err:
             best_err = val_err
-            best = model.copy()
+            for dst, src in zip(best_params, model.weights + model.biases):
+                np.copyto(dst, src)
             best_epoch = epoch
     return TrainResult(best, history, best_epoch, best_err)
 
@@ -697,7 +720,8 @@ def evaluate(m: RegressorModel, test_set, screen: CalibratedScreen,
         buckets.setdefault((s.grid_i, s.grid_j), []).append(errs[i])
     per_point = {k: (float(np.mean(v)), len(v)) for k, v in sorted(buckets.items())}
 
-    img = test_set[0].image
+    # Timed on a float64 frame, as reconstruction gives it to the live loop.
+    img = np.asarray(test_set[0].image, dtype=float)
     lat_down = _time_stage(lambda: downsample_image(img), latency_iters)
     small = downsample_image(img)
     lat_fwd = _time_stage(lambda: forward(m, small), latency_iters)

@@ -207,6 +207,61 @@ def test_train_outputs_and_split_audit(pipeline_dirs):
     assert roles["heldout"] == heldout_expected
 
 
+def test_train_opens_only_the_pooled_rounds(tmp_path, pipeline_dirs, monkeypatch):
+    import flattrack.manifest
+    read = []
+
+    def recording_load_image(path):
+        read.append(os.path.relpath(path, pipeline_dirs["recon"]))
+        return load_image(path)
+
+    monkeypatch.setattr(flattrack.manifest, "load_image", recording_load_image)
+    out = str(tmp_path / "models")
+    assert run(["train", "--in", pipeline_dirs["recon"], "--out", out]) == 0
+    m = read_manifest(pipeline_dirs["recon"])
+    pooled = sorted(r.image_path for r in m.rows if r.round_id != 1)
+    assert sorted(read) == pooled  # each pooled image once, no held-out one
+    for name in os.listdir(out):
+        if name.endswith(".ftkmdl"):
+            assert sha(os.path.join(out, name)) == \
+                sha(os.path.join(pipeline_dirs["models"], name))
+
+
+def test_train_force_removes_the_earlier_models(tmp_path, pipeline_dirs):
+    out = tmp_path / "models"
+    shutil.copytree(pipeline_dirs["models"], out)
+    # A run on a dataset with a third subject would have left these behind.
+    shutil.copy(out / "model_s01.ftkmdl", out / "model_s02.ftkmdl")
+    shutil.copy(out / "history_s01.csv", out / "history_s02.csv")
+    (out / "notes.txt").write_text("kept")
+    assert run(["train", "--in", pipeline_dirs["recon"], "--out", str(out)]) == 3
+    assert run(["train", "--in", pipeline_dirs["recon"], "--out", str(out),
+                "--force"]) == 0
+    assert sorted(os.listdir(out)) == sorted(
+        os.listdir(pipeline_dirs["models"]) + ["notes.txt"])
+    for name in os.listdir(pipeline_dirs["models"]):
+        assert sha(out / name) == sha(os.path.join(pipeline_dirs["models"], name))
+
+
+@pytest.mark.parametrize("escape", ["absolute", "parent"])
+def test_manifest_image_outside_the_dataset_exit_code(tmp_path, pipeline_dirs, escape):
+    ds = tmp_path / "recon"
+    shutil.copytree(pipeline_dirs["recon"], ds)
+    with open(ds / "manifest.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    col = rows[0].index("image_path")
+    # Point a reconstruction row at a measurement of the same sample.
+    meas = os.path.join(pipeline_dirs["meas"], rows[3][col].replace(
+        "_reconstruction.fltimg", "_measurement.fltimg"))
+    assert os.path.isfile(meas)
+    rows[3][col] = meas if escape == "absolute" else os.path.relpath(meas, ds)
+    with open(ds / "manifest.csv", "w", newline="") as f:
+        csv.writer(f).writerows(rows)
+    assert run(["train", "--in", str(ds), "--out", str(tmp_path / "models")]) == 3
+    assert run(["eval", "--in", str(ds), "--models", pipeline_dirs["models"],
+                "--out", str(tmp_path / "eval")]) == 3
+
+
 def test_eval_report_structure(pipeline_dirs):
     with open(os.path.join(pipeline_dirs["eval"], "report.csv")) as f:
         lines = f.read().strip().splitlines()

@@ -1,4 +1,5 @@
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -183,6 +184,32 @@ def test_manifest_detects_duplicate_ids(tmp_path):
     write_rows(root, [save_sample(root, s) for s in samples], cfg)
     with pytest.raises(DataError):
         read_manifest(root)
+
+
+@pytest.mark.parametrize("bad_path", [
+    "ABS",  # an absolute path to an image of another dataset
+    "../other/images/{name}",
+    "images/../../other/images/{name}",
+    "images/sub/{name}",
+    "{name}",
+    "images/{stem}.png",
+    "images/.fltimg",
+])
+def test_manifest_rejects_image_paths_outside_images(tmp_path, bad_path):
+    cfg = small_config()
+    samples = small_samples(cfg, subjects=1, rounds=1)
+    other = str(tmp_path / "other")
+    write_rows(other, [save_sample(other, s) for s in samples], cfg)
+    root = str(tmp_path / "ds")
+    rows = [save_sample(root, s) for s in samples]
+    name = rows[4].image_path.split("/")[-1]
+    rows[4].image_path = (os.path.join(other, rows[4].image_path) if bad_path == "ABS"
+                          else bad_path.format(name=name, stem=name.split(".")[0]))
+    write_rows(root, rows, cfg)
+    with pytest.raises(DataError, match="image path"):
+        read_manifest(root)
+    with pytest.raises(DataError, match="image path"):
+        read_manifest(root, validate=False)
 
 
 @pytest.mark.parametrize("field, k", [("gaze", 0), ("gaze", 2),

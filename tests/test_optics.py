@@ -308,6 +308,41 @@ def test_fltimg_header_and_truncation_errors(tmp_path):
         load_image(path)
 
 
+def test_load_image_returns_writable_float32(tmp_path):
+    x = np.random.default_rng(10).standard_normal((6, 9))
+    path = tmp_path / "img.fltimg"
+    save_image(x, path)
+    back = load_image(path)
+    assert back.dtype == np.float32 and back.shape == (6, 9)
+    assert back.flags.writeable and back.flags.c_contiguous
+    assert np.array_equal(back, x.astype(np.float32))
+    data = path.read_bytes()
+    for bad in (data[:-1], data + b"\x00", data + data[-4:]):
+        path.write_bytes(bad)
+        with pytest.raises(FormatError, match="truncated or oversized"):
+            load_image(path)
+
+
+def test_save_image_bytes_do_not_depend_on_the_input_layout(tmp_path):
+    x = np.random.default_rng(12).standard_normal((8, 10))
+    x32 = x.astype(np.float32)
+    path = tmp_path / "img.fltimg"
+    save_image(x, path)
+    want = path.read_bytes()
+    wide = np.zeros((8, 20), dtype=np.float32)
+    wide[:, ::2] = x32
+    for given in (x32, x32.astype(float), x32.astype(">f4"), np.asfortranarray(x32),
+                  wide[:, ::2]):
+        save_image(given, path)
+        assert path.read_bytes() == want
+    with pytest.raises(NumericalError):
+        save_image(np.array([[0.0, np.nan]], dtype=np.float32), path)
+    with pytest.raises(ConfigError):
+        save_image(np.zeros(4, dtype=np.float32), path)
+    with pytest.raises(ConfigError):
+        save_image(np.zeros((0, 3)), path)
+
+
 def test_load_psf_rejects_negative_values(tmp_path):
     path = tmp_path / "neg.fltimg"
     save_image(np.array([[0.5, -0.25], [0.5, 0.25]]), path)

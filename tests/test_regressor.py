@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from types import SimpleNamespace
@@ -12,7 +13,7 @@ from flattrack.eyesim import EyeRenderParams, GazeSample, render_round
 from flattrack.geometry import (CalibratedScreen, GridSpec, angular_error,
                                 gaze_to_screen, grid_angular_stats,
                                 screen_to_gaze)
-from flattrack.regressor import (ARCH, AffineRanges, RegressorModel,
+from flattrack.regressor import (ARCH, AdamState, AffineRanges, RegressorModel,
                                  TrainConfig, augment_affine,
                                  batch_loss, batch_loss_and_grads,
                                  downsample_image, evaluate, fine_tune,
@@ -332,6 +333,80 @@ def test_training_identical_at_any_thread_count(tmp_path, monkeypatch):
     assert models[0] == models[1] == models[2]
     save_model(model_init(3), tmp_path / "init.ftkmdl")
     assert models[0] != (tmp_path / "init.ftkmdl").read_bytes()  # it trained
+
+
+# Images are stored as float32 and converted to float64 inside the kernels:
+# float32 images and their float64 copies must give the same bits.
+def as_dtype(samples, dtype):
+    return [dataclasses.replace(s, image=s.image.astype(np.float32).astype(dtype))
+            for s in samples]
+
+
+@pytest.mark.parametrize("shape", [(128, 128), (45, 75)])
+def test_float32_images_prepare_like_float64(shape):
+    rng = np.random.default_rng(23)
+    images = [rng.random(shape).astype(np.float32) for _ in range(_STACK + 3)]
+    ranges = AffineRanges(rotation_deg=20.0, translate_px=8.0,
+                          scale_min=0.8, scale_max=1.2)
+    for augment in (True, False):
+        x32 = _prepare_inputs([SimpleNamespace(image=im) for im in images],
+                              augment, ranges, 5, 3)
+        x64 = _prepare_inputs([SimpleNamespace(image=im.astype(float)) for im in images],
+                              augment, ranges, 5, 3)
+        assert np.array_equal(x32, x64)
+
+
+def test_float32_images_train_and_evaluate_like_float64(tmp_path, monkeypatch):
+    params = EyeRenderParams()  # 128x128 scenes: the block area-mean path
+    rounds = [render_round(GRID_9, SCREEN, params, 0, r, 1, 13) for r in range(4)]
+    tr, va, te = rounds[0] + rounds[1], rounds[2], rounds[3]
+    cfg = TrainConfig(epochs=2, lr=1e-3, batch_size=8, seed=7)
+    for workers in ("1", "2"):
+        monkeypatch.setenv("FLATTRACK_THREADS", workers)
+        models = []
+        for dtype in (np.float32, np.float64):
+            path = tmp_path / f"model_{workers}_{np.dtype(dtype).name}.ftkmdl"
+            save_model(train(model_init(3), as_dtype(tr, dtype), as_dtype(va, dtype),
+                             cfg, SCREEN).model, path)
+            models.append(path.read_bytes())
+        assert models[0] == models[1]
+    m = load_model(tmp_path / "model_1_float32.ftkmdl")
+    r32 = evaluate(m, as_dtype(te, np.float32), SCREEN, latency_iters=1)
+    r64 = evaluate(m, as_dtype(te, np.float64), SCREEN, latency_iters=1)
+    assert np.array_equal(r32.errors_deg, r64.errors_deg)
+    assert r32.per_point == r64.per_point
+
+
+def test_adam_step_equals_the_plain_formula():
+    m = model_init(5)
+    ref = m.copy()
+    cfg = TrainConfig(weight_decay=5e-3, seed=1)
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    trainable = {1, 2}  # layer 0 frozen, as in fine-tuning
+    moments = {k: [(np.zeros_like(p), np.zeros_like(p))
+                   for p in (ref.weights[k], ref.biases[k])] for k in trainable}
+    opt = AdamState(m)
+    rng = np.random.default_rng(4)
+    for t in range(1, 5):
+        gw = [rng.standard_normal(w.shape) for w in m.weights]
+        gb = [rng.standard_normal(b.shape) for b in m.biases]
+        lr = 1e-3 * 0.5 ** (t // 2)
+        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for k in trainable:
+            for theta, g, (mom, vel) in zip((ref.weights[k], ref.biases[k]),
+                                            (gw[k], gb[k]), moments[k]):
+                g = g + cfg.weight_decay * theta
+                mom *= b1
+                mom += (1 - b1) * g
+                vel *= b2
+                vel += (1 - b2) * g * g
+                theta -= lr * (mom / c1) / (np.sqrt(vel / c2) + cfg.adam_eps)
+        opt.step(m, [g.copy() for g in gw], [g.copy() for g in gb], lr, cfg, trainable)
+        for a, b in zip(m.weights + m.biases, ref.weights + ref.biases):
+            assert np.array_equal(a, b)
+    assert not np.array_equal(m.weights[1], model_init(5).weights[1])
+    assert np.array_equal(m.weights[0], model_init(5).weights[0])
+    assert opt.slots[0] is None  # no moments for the frozen layer
 
 
 # ---------------------------------------------------------------------------
