@@ -1,8 +1,9 @@
 """Latency harness for the capture -> reconstruct -> regress pipeline.
 
-Reports per-stage wall-clock milliseconds (median and p95 over warm
-frames) plus an fps equivalent of the processing budget. Frame synthesis
-(render + simulate) is prep work and is never counted in the budget.
+One timer (time_stages) for every latency figure: per-stage wall-clock
+milliseconds (median, p95 and mean over warm frames) plus an fps equivalent
+of the processing budget. Making a frame's input (for the pipeline bench,
+render + simulate) is prep work and is never counted in the budget.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from .reconstruct import wiener_deconvolve
 from .regressor import RegressorModel, downsample_image, forward
 from .seeds import mix_seed
 
-TIMED_STAGES = ("reconstruct", "downsample", "regress")
-
 
 @dataclass
 class BenchResult:
@@ -37,8 +36,7 @@ class BenchResult:
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["stage", "median_ms", "p95_ms", "mean_ms"])
-            for name in TIMED_STAGES:
-                st = self.stages[name]
+            for name, st in self.stages.items():
                 w.writerow([name, repr(st["median_ms"]), repr(st["p95_ms"]),
                             repr(st["mean_ms"])])
             w.writerow(["total", repr(self.total_median_ms),
@@ -46,59 +44,64 @@ class BenchResult:
             w.writerow(["fps", repr(self.fps), "", ""])
 
 
-def _stats(ms: np.ndarray) -> dict[str, float]:
-    return {
-        "median_ms": float(np.median(ms)),
-        "p95_ms": float(np.percentile(ms, 95)),
-        "mean_ms": float(ms.mean()),
-    }
+def time_stages(stages, make_input, frames: int, warmup: int) -> BenchResult:
+    """Time a chain of (name, fn) stages per frame over ``frames`` frames,
+    after ``warmup`` untimed ones.
+
+    Frame k (k = 0, 1, ...) starts from ``make_input(k)``, which is not
+    timed; each stage is fed the result of the one before. A frame's total
+    is the time from the first stage's start to the last stage's end, and
+    fps = 1000 / median total ms.
+    """
+    if frames < 1:
+        raise ConfigError("bench.frames must be >= 1")
+    if warmup < 0:
+        raise ConfigError("bench.warmup must be >= 0")
+    ms = np.empty((len(stages) + 1, frames))
+    for k in range(warmup + frames):
+        x = make_input(k)
+        t = [time.perf_counter()]
+        for _, fn in stages:
+            x = fn(x)
+            t.append(time.perf_counter())
+        if k >= warmup:
+            ms[:-1, k - warmup] = np.diff(t) * 1e3
+            ms[-1, k - warmup] = (t[-1] - t[0]) * 1e3
+    total_median = float(np.median(ms[-1]))
+    return BenchResult(
+        stages={name: {"median_ms": float(np.median(row)),
+                       "p95_ms": float(np.percentile(row, 95)),
+                       "mean_ms": float(row.mean())}
+                for (name, _), row in zip(stages, ms)},
+        total_median_ms=total_median,
+        total_p95_ms=float(np.percentile(ms[-1], 95)),
+        fps=1000.0 / total_median,
+        frames=frames,
+    )
 
 
 def run_pipeline_bench(model: RegressorModel, psf: Psf, config: ExperimentConfig,
                        frames: int | None = None, warmup: int | None = None) -> BenchResult:
-    """Time reconstruct/downsample/regress per frame over >= ``frames`` warm frames.
+    """Time reconstruct/downsample/regress per frame over ``frames`` warm frames.
 
     Each frame is a freshly simulated measurement of a rendered eye (both
-    excluded from the budget). fps = 1000 / median total ms.
+    excluded from the budget).
     """
     frames = config["bench.frames"] if frames is None else frames
     warmup = config["bench.warmup"] if warmup is None else warmup
-    if frames < 1:
-        raise ConfigError("bench.frames must be >= 1")
-    screen = config.screen()
-    grid = config.grid()
     params = config.render_params()
     noise = config.noise_model()
     seed = config["seed"]
     wcfg = config.wiener_config()
-    pts = make_grid(grid, screen.monitor)
-    gazes = [screen_to_gaze(p, screen) for p in pts]
+    screen = config.screen()
+    gazes = [screen_to_gaze(p, screen) for p in make_grid(config.grid(), screen.monitor)]
 
-    times = {name: np.empty(frames) for name in TIMED_STAGES}
-    totals = np.empty(frames)
-    for k in range(-warmup, frames):
-        g = gazes[(k + warmup) % len(gazes)]
-        scene = render_eye(g, params, mix_seed(seed, 0xBE7C, 0),
-                           mix_seed(seed, 0xBE7C, 1, k + warmup))
-        y = simulate_measurement(scene, psf, noise, mix_seed(seed, 0xBE7C, 2, k + warmup))
+    def measurement(k):
+        scene = render_eye(gazes[k % len(gazes)], params, mix_seed(seed, 0xBE7C, 0),
+                           mix_seed(seed, 0xBE7C, 1, k))
+        return simulate_measurement(scene, psf, noise, mix_seed(seed, 0xBE7C, 2, k))
 
-        t0 = time.perf_counter()
-        recon = wiener_deconvolve(y, psf, wcfg)
-        t1 = time.perf_counter()
-        small = downsample_image(recon)
-        t2 = time.perf_counter()
-        forward(model, small)
-        t3 = time.perf_counter()
-        if k >= 0:
-            times["reconstruct"][k] = (t1 - t0) * 1e3
-            times["downsample"][k] = (t2 - t1) * 1e3
-            times["regress"][k] = (t3 - t2) * 1e3
-            totals[k] = (t3 - t0) * 1e3
-    total_median = float(np.median(totals))
-    return BenchResult(
-        stages={name: _stats(ms) for name, ms in times.items()},
-        total_median_ms=total_median,
-        total_p95_ms=float(np.percentile(totals, 95)),
-        fps=1000.0 / total_median,
-        frames=frames,
-    )
+    return time_stages([("reconstruct", lambda y: wiener_deconvolve(y, psf, wcfg)),
+                        ("downsample", downsample_image),
+                        ("regress", lambda x: forward(model, x))],
+                       measurement, frames, warmup)

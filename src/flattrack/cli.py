@@ -21,11 +21,11 @@ import sys
 
 import numpy as np
 
-from .bench import run_pipeline_bench
+from .bench import run_pipeline_bench, time_stages
 from .config import ExperimentConfig
 from .errors import ConfigError, DataError, FlatTrackError, NumericalError
 from .eyesim import GazeSample, render_round
-from .geometry import grid_angular_stats
+from .geometry import grid_angular_stats, make_grid
 from .manifest import (DatasetManifest, read_manifest, remove_dataset,
                        save_sample, write_rows)
 from .optics import (generate_contour_psf, load_psf, save_psf,
@@ -105,10 +105,15 @@ def cmd_gen_psf(args) -> int:
 
 def cmd_render_dataset(args) -> int:
     cfg = _resolve_config(args)
-    _prepare_out_dir(args.out, args.force)
     grid = cfg.grid()
     screen = cfg.screen()
     params = cfg.render_params()
+    # Checked before --force removes an earlier dataset.
+    make_grid(grid, screen.monitor)
+    for key in ("dataset.subjects", "dataset.rounds", "dataset.n_per_point"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
+    _prepare_out_dir(args.out, args.force)
 
     def one_round(ids):
         sid, rid = ids
@@ -129,11 +134,11 @@ def _transform_dataset(args, stage_in: str, stage_out: str, make_fn) -> int:
     """Shared walk for simulate/reconstruct: map each image, keep labels."""
     m = read_manifest(getattr(args, "in_dir"))
     cfg = _resolve_config(args, m)
-    _prepare_out_dir(args.out, args.force, m.root)
     rows = [r for r in m.rows if r.stage == stage_in]
     if not rows:
         raise DataError(f"no {stage_in!r}-stage rows in {getattr(args, 'in_dir')}")
-    fn = make_fn(m, cfg)
+    fn = make_fn(m, cfg)  # raises on a bad config before --force removes anything
+    _prepare_out_dir(args.out, args.force, m.root)
 
     def one(row):
         s = m.load_sample(row)
@@ -226,6 +231,8 @@ def cmd_eval(args) -> int:
             raise DataError(f"missing model for subject {sid}: {model_path}")
         model = load_model(model_path)
         heldout = m.load_samples(split.heldout[sid])
+        if not reports:
+            timed = model, heldout[0]
         rep = eval_model(model, heldout, screen)
         reports[sid] = rep
         subject_rows.append({
@@ -243,47 +250,28 @@ def cmd_eval(args) -> int:
                             os.path.join(args.out, "report.csv"))
     write_per_point_csv(aggregate_per_point(reports),
                         os.path.join(args.out, "per_point.csv"))
-    _write_eval_latency(reports, m, split, cfg, args)
+    _write_eval_latency(*timed, cfg, args)
     print(f"eval: average {summary['average_deg']:.3f} deg, "
           f"best-case {summary['best_case_deg']:.3f} deg -> {args.out}")
     return 0
 
 
-def _write_eval_latency(reports, m, split, cfg, args) -> None:
-    import csv
-    any_sid = sorted(reports)[0]
-    rep = reports[any_sid]
-    stages = dict(rep.latency)
+def _write_eval_latency(model, sample, cfg, args) -> None:
+    """latency.csv: the first subject's first held-out frame through
+    reconstruct (with --psf), downsample and regress, 100 timed frames
+    after 10 warm-up frames."""
+    from .regressor import downsample_image, forward
+    # A float64 frame, as reconstruction gives it to the live loop.
+    frame = np.asarray(sample.image, dtype=float)
+    stages = [("downsample", downsample_image),
+              ("regress", lambda x: forward(model, x))]
     if getattr(args, "psf", None):
-        import time
         psf = load_psf(args.psf)
-        sample = m.load_sample(split.heldout[any_sid][0])
-        meas = simulate_measurement(sample.image, psf, cfg.noise_model(),
-                                    cfg["seed"])
-        wcfg = cfg.wiener_config(output_h=sample.image.shape[0],
-                                 output_w=sample.image.shape[1])
-        times = []
-        for _ in range(10):
-            wiener_deconvolve(meas, psf, wcfg)
-        for _ in range(100):
-            t0 = time.perf_counter()
-            wiener_deconvolve(meas, psf, wcfg)
-            times.append((time.perf_counter() - t0) * 1e3)
-        stages = {"reconstruct": {
-            "median_ms": float(np.median(times)),
-            "p95_ms": float(np.percentile(times, 95)),
-            "mean_ms": float(np.mean(times)),
-            "iters": 100.0,
-        }, **stages}
-    total = sum(v["median_ms"] for v in stages.values())
-    with open(os.path.join(args.out, "latency.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["stage", "median_ms", "p95_ms", "mean_ms"])
-        for name, st in stages.items():
-            w.writerow([name, repr(st["median_ms"]), repr(st["p95_ms"]),
-                        repr(st["mean_ms"])])
-        w.writerow(["total", repr(total), "", ""])
-        w.writerow(["fps", repr(1000.0 / total), "", ""])
+        wcfg = cfg.wiener_config(output_h=frame.shape[0], output_w=frame.shape[1])
+        frame = simulate_measurement(sample.image, psf, cfg.noise_model(), cfg["seed"])
+        stages.insert(0, ("reconstruct", lambda y: wiener_deconvolve(y, psf, wcfg)))
+    result = time_stages(stages, lambda k: frame, frames=100, warmup=10)
+    result.write_csv(os.path.join(args.out, "latency.csv"))
 
 
 def cmd_grid_stats(args) -> int:
@@ -325,8 +313,8 @@ def cmd_compare_lensed(args) -> int:
 
     lensless = parallel_map(to_lensless, scenes)
     # Identical seeds in both arms: only the image pathway differs.
-    res_lensed = run_protocol(scenes, cfg, latency_iters=10)
-    res_lensless = run_protocol(lensless, cfg, latency_iters=10)
+    res_lensed = run_protocol(scenes, cfg)
+    res_lensless = run_protocol(lensless, cfg)
     rows = []
     for sid in sorted(res_lensed.reports):
         rows.append({
@@ -350,8 +338,7 @@ def cmd_bench(args) -> int:
     psf = load_psf(args.psf)
     result = run_pipeline_bench(model, psf, cfg)
     result.write_csv(args.out)
-    for name in ("reconstruct", "downsample", "regress"):
-        st = result.stages[name]
+    for name, st in result.stages.items():
         print(f"{name}: median {st['median_ms']:.3f} ms, p95 {st['p95_ms']:.3f} ms")
     print(f"total: median {result.total_median_ms:.3f} ms "
           f"({result.fps:.1f} fps) over {result.frames} frames -> {args.out}")

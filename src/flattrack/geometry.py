@@ -8,7 +8,8 @@ screen-right, y up, and z from the eye toward the screen plane; the y-down /
 y-up mismatch is a single explicit sign flip inside the projection. Angles
 are reported in degrees; radians are internal only.
 
-Gaze vectors and screen points are plain float arrays, shape (3,) and (2,).
+Gaze vectors and screen points are plain float arrays, shape (3,) and (2,);
+the projection also takes a stack of gaze vectors, shape (N, 3).
 """
 
 from __future__ import annotations
@@ -92,14 +93,6 @@ class GridSpec:
         return (self.rows - 1) * self.spacing_y_px
 
 
-def _as_unit(v: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if not np.isfinite(n) or abs(n - 1.0) > tol:
-        raise ValueError(f"expected unit vector, got norm {n!r}")
-    return v
-
-
 def screen_to_gaze(p, s: CalibratedScreen) -> np.ndarray:
     """Unit gaze vector of the eye fixating screen pixel ``p``.
 
@@ -117,34 +110,39 @@ def screen_to_gaze(p, s: CalibratedScreen) -> np.ndarray:
 
 
 def gaze_to_screen(v, s: CalibratedScreen) -> np.ndarray:
-    """Screen pixel hit by unit gaze vector ``v``.
+    """Screen pixel(s) hit by unit gaze vector(s) ``v``: (3,) -> (2,), or
+    (N, 3) -> (N, 2) row by row.
 
-    Raises UnprojectableGazeError when v_z <= 1e-6 (ray parallel to or away
-    from the screen). Closed-form partial derivatives are exposed via
-    gaze_to_screen_jacobian for the training path.
+    Raises UnprojectableGazeError when any v_z <= 1e-6. Closed-form partial
+    derivatives are exposed via gaze_to_screen_jacobian for the training path.
     """
     v = np.asarray(v, dtype=float)
-    if v[2] <= MIN_PROJECTABLE_Z:
-        raise UnprojectableGazeError(f"unprojectable gaze: v_z={v[2]!r}")
+    if np.any(v[..., 2] <= MIN_PROJECTABLE_Z):
+        raise UnprojectableGazeError(f"unprojectable gaze: v_z={v[..., 2].min()!r}")
     d = s.monitor.distance_mm
     pitch = s.monitor.pixel_pitch_mm
-    return np.array([
-        s.calib_x_px + d * v[0] / v[2] / pitch,
-        s.calib_y_px - d * v[1] / v[2] / pitch,
-    ])
+    return np.stack([
+        s.calib_x_px + d * v[..., 0] / v[..., 2] / pitch,
+        s.calib_y_px - d * v[..., 1] / v[..., 2] / pitch,
+    ], axis=-1)
 
 
 def gaze_to_screen_jacobian(v, s: CalibratedScreen) -> np.ndarray:
-    """2x3 Jacobian d(screen point)/d(gaze vector) at ``v`` (v as a free 3-vector)."""
+    """2x3 Jacobian d(screen point)/d(gaze vector) at ``v`` (v as a free
+    3-vector); (N, 3) gives the (N, 2, 3) Jacobians of the rows."""
     v = np.asarray(v, dtype=float)
-    if v[2] <= MIN_PROJECTABLE_Z:
-        raise UnprojectableGazeError(f"unprojectable gaze: v_z={v[2]!r}")
+    if np.any(v[..., 2] <= MIN_PROJECTABLE_Z):
+        raise UnprojectableGazeError(f"unprojectable gaze: v_z={v[..., 2].min()!r}")
     k = s.monitor.distance_mm / s.monitor.pixel_pitch_mm
-    z = v[2]
-    return np.array([
-        [k / z, 0.0, -k * v[0] / z**2],
-        [0.0, -k / z, k * v[1] / z**2],
-    ])
+    z = v[..., 2]
+    zero = np.zeros_like(z)
+    # z**2 as C pow, as it was when v was one vector: on an array, ** squares
+    # by multiplication, which rounds differently in about 1 case in 1000.
+    z2 = np.float_power(z, 2)
+    return np.stack([
+        np.stack([k / z, zero, -k * v[..., 0] / z2], axis=-1),
+        np.stack([zero, -k / z, k * v[..., 1] / z2], axis=-1),
+    ], axis=-2)
 
 
 def angular_error(a, b) -> float:
@@ -194,16 +192,8 @@ class GridAngularStats:
         return float(np.nanmin(self.dtheta_x_deg))
 
     @property
-    def max_spacing_x_deg(self) -> float:
-        return float(np.nanmax(self.dtheta_x_deg))
-
-    @property
     def min_spacing_y_deg(self) -> float:
         return float(np.nanmin(self.dtheta_y_deg))
-
-    @property
-    def max_spacing_y_deg(self) -> float:
-        return float(np.nanmax(self.dtheta_y_deg))
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as f:

@@ -106,10 +106,6 @@ class ProtocolResult:
     split: ProtocolSplit
     reports: dict[int, EvalReport] = field(default_factory=dict)
 
-    @property
-    def subject_mean_errs(self) -> dict[int, float]:
-        return {sid: r.mean_err_deg for sid, r in self.reports.items()}
-
 
 def load_pool(split: ProtocolSplit, load) -> ProtocolSplit:
     """The same partition with each pooled item replaced by ``load(item)``,
@@ -147,15 +143,14 @@ def train_protocol(split: ProtocolSplit, config: ExperimentConfig) -> ProtocolRe
 
 
 def run_protocol(samples: list[GazeSample], config: ExperimentConfig,
-                 evaluate_heldout: bool = True,
-                 latency_iters: int = 100) -> ProtocolResult:
+                 evaluate_heldout: bool = True) -> ProtocolResult:
     """Pretrain across subjects, fine-tune per subject, evaluate held-out rounds."""
     result = train_protocol(partition_samples(samples, config), config)
     if evaluate_heldout:
         screen = config.screen()
         for sid, heldout in sorted(result.split.heldout.items()):
             result.reports[sid] = evaluate(result.per_subject[sid].model, heldout,
-                                           screen, latency_iters=latency_iters)
+                                           screen)
     return result
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,6 +210,23 @@ def loss_l1(pred_pt, gt_pt) -> float:
     return float(np.abs(p - g).sum())
 
 
+def _screen_l1(v: np.ndarray, gt_pts, screen: CalibratedScreen):
+    """Screen-space L1 of the projectable rows of ``v`` (N, 3).
+
+    Returns (keep, losses, resid): keep marks the rows with v_z > 1e-6,
+    losses is |dx| + |dy| of each kept row and resid its (dx, dy).
+    """
+    keep = v[:, 2] > MIN_PROJECTABLE_Z
+    resid = gaze_to_screen(v[keep], screen) - gt_pts[keep]
+    return keep, np.abs(resid).sum(axis=1), resid
+
+
+def _mean_in_order(losses: np.ndarray) -> float:
+    """Mean of the values summed left to right, as a running total does
+    (``sum`` regroups 8 or more values pairwise)."""
+    return float(np.add.accumulate(losses)[-1]) / len(losses)
+
+
 def batch_loss_and_grads(m: RegressorModel, X: np.ndarray, gt_pts: np.ndarray,
                          screen: CalibratedScreen):
     """Mean screen-space L1 loss and its analytic parameter gradients.
@@ -221,37 +237,28 @@ def batch_loss_and_grads(m: RegressorModel, X: np.ndarray, gt_pts: np.ndarray,
     """
     v, cache = forward_batch(m, X)
     n = X.shape[0]
-    keep = v[:, 2] > MIN_PROJECTABLE_Z
-    n_used = int(keep.sum())
-    dV = np.zeros((n, 3))
-    total = 0.0
-    for i in np.nonzero(keep)[0]:
-        pred = gaze_to_screen(v[i], screen)
-        resid = pred - gt_pts[i]
-        total += float(np.abs(resid).sum())
-        jac = gaze_to_screen_jacobian(v[i], screen)
-        dV[i] = jac.T @ np.sign(resid)
+    keep, losses, resid = _screen_l1(v, gt_pts, screen)
+    n_used = len(losses)
     if n_used == 0:
         zero_w = [np.zeros_like(w) for w in m.weights]
         zero_b = [np.zeros_like(b) for b in m.biases]
-        return 0.0, zero_w, zero_b, 0, n - n_used
+        return 0.0, zero_w, zero_b, 0, n
+    jac = gaze_to_screen_jacobian(v[keep], screen)
+    sign = np.sign(resid)
+    dV = np.zeros((n, 3))
+    # jac.T @ sign per row: two exact products (sign is -1, 0 or 1), one sum.
+    dV[keep] = jac[:, 0] * sign[:, :1] + jac[:, 1] * sign[:, 1:]
     dV /= n_used
     grads_w, grads_b = backward_batch(m, cache, dV)
-    return total / n_used, grads_w, grads_b, n_used, n - n_used
+    return _mean_in_order(losses), grads_w, grads_b, n_used, n - n_used
 
 
 def batch_loss(m: RegressorModel, X: np.ndarray, gt_pts: np.ndarray,
                screen: CalibratedScreen) -> float:
     """Loss only (used by finite-difference checks); same skip rule."""
     v, _ = forward_batch(m, X)
-    keep = v[:, 2] > MIN_PROJECTABLE_Z
-    if not keep.any():
-        return 0.0
-    total = 0.0
-    for i in np.nonzero(keep)[0]:
-        pred = gaze_to_screen(v[i], screen)
-        total += float(np.abs(pred - gt_pts[i]).sum())
-    return total / int(keep.sum())
+    _, losses, _ = _screen_l1(v, gt_pts, screen)
+    return _mean_in_order(losses) if len(losses) else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -600,12 +607,9 @@ def _prepare_inputs(samples, augment: bool, ranges: AffineRanges,
 def _val_metrics(m: RegressorModel, X: np.ndarray, gt_pts: np.ndarray,
                  gazes: np.ndarray, screen: CalibratedScreen):
     v, _ = forward_batch(m, X)
-    keep = v[:, 2] > MIN_PROJECTABLE_Z
-    losses = []
-    for i in np.nonzero(keep)[0]:
-        losses.append(loss_l1(gaze_to_screen(v[i], screen), gt_pts[i]))
+    keep, losses, _ = _screen_l1(v, gt_pts, screen)
     errs = [angular_error(v[i], gazes[i]) for i in range(len(gazes))]
-    val_loss = float(np.mean(losses)) if losses else float("nan")
+    val_loss = float(np.mean(losses)) if len(losses) else float("nan")
     return val_loss, float(np.mean(errs)), int((~keep).sum())
 
 
@@ -694,18 +698,14 @@ class EvalReport:
     mean_err_deg: float
     min_err_deg: float
     per_point: dict[tuple[int, int], tuple[float, int]]
-    latency: dict[str, dict[str, float]]
-    total_ms: float
-    fps: float
     n_unprojectable: int
 
 
-def evaluate(m: RegressorModel, test_set, screen: CalibratedScreen,
-             latency_iters: int = 100) -> EvalReport:
-    """Angular error per sample and per grid point, plus stage latency.
+def evaluate(m: RegressorModel, test_set, screen: CalibratedScreen) -> EvalReport:
+    """Angular error per sample and per grid point.
 
-    Latency is wall-clock over >= latency_iters warm iterations of the
-    regression stage (downsample + forward) on a representative frame.
+    Each sample is scored by its own one-row forward pass: a batched pass
+    can round differently (BLAS gemm against gemv).
     """
     if not test_set:
         raise DataError("evaluation set must be non-empty")
@@ -719,41 +719,13 @@ def evaluate(m: RegressorModel, test_set, screen: CalibratedScreen,
         errs[i] = angular_error(v, s.gaze)
         buckets.setdefault((s.grid_i, s.grid_j), []).append(errs[i])
     per_point = {k: (float(np.mean(v)), len(v)) for k, v in sorted(buckets.items())}
-
-    # Timed on a float64 frame, as reconstruction gives it to the live loop.
-    img = np.asarray(test_set[0].image, dtype=float)
-    lat_down = _time_stage(lambda: downsample_image(img), latency_iters)
-    small = downsample_image(img)
-    lat_fwd = _time_stage(lambda: forward(m, small), latency_iters)
-    latency = {"downsample": lat_down, "regress": lat_fwd}
-    total_ms = sum(v["median_ms"] for v in latency.values())
     return EvalReport(
         errors_deg=errs,
         mean_err_deg=float(errs.mean()),
         min_err_deg=float(errs.min()),
         per_point=per_point,
-        latency=latency,
-        total_ms=total_ms,
-        fps=1000.0 / total_ms,
         n_unprojectable=n_unproj,
     )
-
-
-def _time_stage(fn, iters: int, warmup: int = 10) -> dict[str, float]:
-    for _ in range(warmup):
-        fn()
-    times = np.empty(iters)
-    for i in range(iters):
-        t0 = time.perf_counter()
-        fn()
-        times[i] = time.perf_counter() - t0
-    ms = times * 1e3
-    return {
-        "median_ms": float(np.median(ms)),
-        "p95_ms": float(np.percentile(ms, 95)),
-        "mean_ms": float(ms.mean()),
-        "iters": float(iters),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -809,4 +781,8 @@ def load_model(path) -> RegressorModel:
             biases.append(b)
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after last layer")
+    ends = (weights[0].shape[0], weights[-1].shape[1])
+    if ends != (ARCH[0], ARCH[-1]):
+        raise FormatError(f"{path}: model maps {ends[0]} -> {ends[1]} values, "
+                          f"not {ARCH[0]} -> {ARCH[-1]}")
     return RegressorModel(weights, biases)

@@ -105,7 +105,7 @@ def e2e(acceptance_config, contour_psf, scenes):
         zero.weights[k][:] = 0.0
         zero.biases[k][:] = 0.0  # constant (0,0,1) via the norm fallback
     baseline = {
-        sid: evaluate(zero, held, cfg.screen(), latency_iters=5).mean_err_deg
+        sid: evaluate(zero, held, cfg.screen()).mean_err_deg
         for sid, held in result.split.heldout.items()
     }
     elapsed = dict(recon=t_recon, train=t_train)
@@ -269,8 +269,8 @@ def test_criterion_07_lensed_vs_lensless_gap(acceptance_config, contour_psf,
     t0 = time.time()
     lensless = [_to_reconstruction(s, contour_psf, noiseless, cfg["seed"], wcfg)
                 for s in scenes]
-    res_lensed = run_protocol(scenes, cfg, latency_iters=5)
-    res_lensless = run_protocol(lensless, cfg, latency_iters=5)
+    res_lensed = run_protocol(scenes, cfg)
+    res_lensless = run_protocol(lensless, cfg)
     details = []
     ok = True
     for sid in sorted(res_lensed.reports):

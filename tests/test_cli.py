@@ -130,6 +130,41 @@ def test_force_clears_the_earlier_dataset(tmp_path, small_cfg_file):
     assert len(read_manifest(out)) == len(m)
 
 
+@pytest.mark.parametrize("setting", ["dataset.subjects=0", "dataset.rounds=0",
+                                     "dataset.n_per_point=0",
+                                     "grid.origin_x_px=1900"])
+def test_render_dataset_config_error_keeps_the_earlier_dataset(
+        tmp_path, small_cfg_file, setting):
+    out = str(tmp_path / "scenes")
+    assert run(["render-dataset", "--config", small_cfg_file, "--out", out]) == 0
+    before = sorted(os.listdir(os.path.join(out, "images")))
+    assert run(["render-dataset", "--config", small_cfg_file, "--out", out,
+                "--set", setting, "--force"]) == 2
+    # The check comes before --force removes the earlier dataset.
+    assert sorted(os.listdir(os.path.join(out, "images"))) == before
+    assert len(read_manifest(out)) == len(before)
+    fresh = str(tmp_path / "fresh")
+    assert run(["render-dataset", "--config", small_cfg_file, "--out", fresh,
+                "--set", setting]) == 2
+    assert not os.path.exists(fresh)
+
+
+@pytest.mark.parametrize("step, src, extra, code", [
+    ("simulate", "scenes", ["--set", "optics.noise_sigma_rel=-1"], 2),
+    ("reconstruct", "meas", ["--gamma", "-1"], 2),
+    ("reconstruct", "scenes", [], 3),  # no measurement-stage rows
+])
+def test_transform_error_keeps_the_earlier_output(tmp_path, pipeline_dirs, step,
+                                                  src, extra, code):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_dirs["recon"], out)
+    before = sorted(os.listdir(out / "images"))
+    assert run([step, "--in", pipeline_dirs[src], "--psf", pipeline_dirs["psf"],
+                "--out", str(out), "--force"] + extra) == code
+    assert sorted(os.listdir(out / "images")) == before
+    assert len(read_manifest(str(out))) == len(before)
+
+
 def test_render_dataset_same_at_any_thread_count(tmp_path, small_cfg_file, monkeypatch):
     written = []
     for workers in ("1", "2"):
@@ -262,7 +297,15 @@ def test_manifest_image_outside_the_dataset_exit_code(tmp_path, pipeline_dirs, e
                 "--out", str(tmp_path / "eval")]) == 3
 
 
-def test_eval_report_structure(pipeline_dirs):
+def _latency_rows(path):
+    with open(path) as f:
+        rows = {r[0]: r[1:] for r in csv.reader(f)}
+    assert float(rows["fps"][0]) == pytest.approx(
+        1000.0 / float(rows["total"][0]), rel=1e-9)
+    return list(rows)
+
+
+def test_eval_report_structure(tmp_path, pipeline_dirs):
     with open(os.path.join(pipeline_dirs["eval"], "report.csv")) as f:
         lines = f.read().strip().splitlines()
     assert lines[0] == "subject,n,mean_err_deg,min_err_deg"
@@ -274,14 +317,16 @@ def test_eval_report_structure(pipeline_dirs):
     assert best == pytest.approx(min(means))
     assert avg == pytest.approx(np.mean(means))
     assert best <= avg
-    with open(os.path.join(pipeline_dirs["eval"], "latency.csv")) as f:
-        latency = f.read()
-    assert "reconstruct" in latency and "regress" in latency and "fps" in latency
-    fps = float([l.split(",")[1] for l in latency.splitlines()
-                 if l.startswith("fps")][0])
-    total = float([l.split(",")[1] for l in latency.splitlines()
-                   if l.startswith("total")][0])
-    assert fps == pytest.approx(1000.0 / total, rel=1e-9)
+    # The stages timed with --psf and without it.
+    assert _latency_rows(os.path.join(pipeline_dirs["eval"], "latency.csv")) == [
+        "stage", "reconstruct", "downsample", "regress", "total", "fps"]
+    out = tmp_path / "eval_no_psf"
+    assert run(["eval", "--in", pipeline_dirs["recon"], "--models",
+                pipeline_dirs["models"], "--out", str(out)]) == 0
+    assert _latency_rows(out / "latency.csv") == [
+        "stage", "downsample", "regress", "total", "fps"]
+    for name in ("report.csv", "per_point.csv"):
+        assert sha(out / name) == sha(os.path.join(pipeline_dirs["eval"], name))
 
 
 def test_grid_report_svg(tmp_path, pipeline_dirs):
@@ -318,6 +363,18 @@ def test_non_finite_model_weights_exit_code(tmp_path, pipeline_dirs):
                 "--out", str(tmp_path / "eval"), "--psf", pipeline_dirs["psf"]]) == 3
 
 
+@pytest.mark.parametrize("dims", [(1024, 8, 2), (16, 8, 3)])
+def test_model_with_wrong_endpoint_dims_exit_code(tmp_path, pipeline_dirs, dims):
+    models = tmp_path / "models"
+    shutil.copytree(pipeline_dirs["models"], models)
+    data = f"FTKMDL1 {len(dims) - 1}\n".encode()
+    for rows, cols in zip(dims[:-1], dims[1:]):
+        data += f"{rows} {cols}\n".encode() + np.zeros(rows * cols + cols, "<f4").tobytes()
+    (models / "model_s00.ftkmdl").write_bytes(data)
+    assert run(["eval", "--in", pipeline_dirs["recon"], "--models", str(models),
+                "--out", str(tmp_path / "eval")]) == 3
+
+
 def test_grid_stats_cmd(tmp_path, small_cfg_file):
     out = str(tmp_path / "grid.csv")
     assert run(["grid-stats", "--config", small_cfg_file, "--out", out]) == 0
@@ -337,6 +394,15 @@ def test_bench_cmd(tmp_path, small_cfg_file, pipeline_dirs):
                          "total", "fps"}
     assert float(rows["fps"][0]) == pytest.approx(
         1000.0 / float(rows["total"][0]), rel=1e-9)
+
+
+def test_bench_rejects_negative_warmup(tmp_path, small_cfg_file, pipeline_dirs):
+    out = tmp_path / "bench.csv"
+    assert run(["bench", "--model",
+                os.path.join(pipeline_dirs["models"], "model_s00.ftkmdl"),
+                "--psf", pipeline_dirs["psf"], "--config", small_cfg_file,
+                "--set", "bench.warmup=-1", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_compare_lensed_schema(tmp_path, small_cfg_file, pipeline_dirs):

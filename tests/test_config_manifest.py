@@ -358,7 +358,6 @@ def test_aggregate_per_point_weighting():
     def rep(err, n):
         return EvalReport(errors_deg=np.full(n, err), mean_err_deg=err,
                           min_err_deg=err, per_point={(0, 0): (err, n)},
-                          latency={}, total_ms=1.0, fps=1000.0,
                           n_unprojectable=0)
 
     agg = aggregate_per_point({0: rep(1.0, 1), 1: rep(4.0, 3)})

@@ -65,6 +65,41 @@ def test_gaze_to_screen_rejects_unprojectable(vz):
         gaze_to_screen(v, SCREEN)
 
 
+def _unit_rows(n, seed):
+    v = np.random.default_rng(seed).normal(size=(n, 3))
+    v[:, 2] = np.abs(v[:, 2]) + 0.05
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", [0, 1, 33])
+def test_projection_of_a_stack_equals_its_rows(n):
+    v = _unit_rows(n, n)
+    pts = gaze_to_screen(v, SCREEN)
+    jac = gaze_to_screen_jacobian(v, SCREEN)
+    assert pts.shape == (n, 2) and jac.shape == (n, 2, 3)
+    rows_pts = np.array([gaze_to_screen(r, SCREEN) for r in v]).reshape(n, 2)
+    rows_jac = np.array([gaze_to_screen_jacobian(r, SCREEN) for r in v]).reshape(n, 2, 3)
+    assert np.array_equal(pts, rows_pts)
+    assert np.array_equal(jac, rows_jac)
+    for i in range(n):
+        bad = v.copy()
+        bad[i, 2] = 0.0
+        with pytest.raises(UnprojectableGazeError):
+            gaze_to_screen(bad, SCREEN)
+        with pytest.raises(UnprojectableGazeError):
+            gaze_to_screen_jacobian(bad, SCREEN)
+
+
+def test_jacobian_equals_the_scalar_formula():
+    # The z-column's z**2 is C pow on Python floats; squaring by
+    # multiplication rounds differently in about 1 case in 1000.
+    v = _unit_rows(20000, 5)
+    k = SCREEN.monitor.distance_mm / SCREEN.monitor.pixel_pitch_mm
+    expected = np.array([[[k / z, 0.0, -k * x / z**2], [0.0, -k / z, k * y / z**2]]
+                         for x, y, z in v.tolist()])
+    assert np.array_equal(gaze_to_screen_jacobian(v, SCREEN), expected)
+
+
 def test_angular_error_basics():
     assert angular_error([0, 0, 1], [0, 0, 1]) == 0.0
     assert angular_error([0, 0, 1], [1, 0, 0]) == pytest.approx(90.0)

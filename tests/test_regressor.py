@@ -11,15 +11,15 @@ from hypothesis import strategies as st
 from flattrack.errors import ConfigError, FormatError, NumericalError
 from flattrack.eyesim import EyeRenderParams, GazeSample, render_round
 from flattrack.geometry import (CalibratedScreen, GridSpec, angular_error,
-                                gaze_to_screen, grid_angular_stats,
-                                screen_to_gaze)
+                                gaze_to_screen, gaze_to_screen_jacobian,
+                                grid_angular_stats, screen_to_gaze)
 from flattrack.regressor import (ARCH, AdamState, AffineRanges, RegressorModel,
                                  TrainConfig, augment_affine,
                                  batch_loss, batch_loss_and_grads,
                                  downsample_image, evaluate, fine_tune,
                                  forward, forward_batch, load_model, loss_l1,
                                  model_init, save_model, train, warp_affine,
-                                 _STACK, _prepare_inputs)
+                                 backward_batch, _STACK, _prepare_inputs)
 from flattrack.seeds import mix_seed
 
 SCREEN = CalibratedScreen()
@@ -189,6 +189,53 @@ def test_unprojectable_predictions_skipped_and_counted():
     loss, gw, gb, n_used, n_skip = batch_loss_and_grads(m, X, gts, SCREEN)
     assert n_used == 0 and n_skip == 6
     assert all(np.all(g == 0) for g in gw)
+
+
+def _loop_loss_and_grads(m, X, gts):
+    """The projection loss one sample at a time: a running total of
+    |dx| + |dy| and dV_i = J_i^T sign(resid_i) for each projectable row."""
+    v, cache = forward_batch(m, X)
+    dV = np.zeros((len(X), 3))
+    total, n_used = 0.0, 0
+    for i in range(len(X)):
+        if v[i, 2] <= 1e-6:
+            continue
+        resid = gaze_to_screen(v[i], SCREEN) - gts[i]
+        total += float(np.abs(resid).sum())
+        dV[i] = gaze_to_screen_jacobian(v[i], SCREEN).T @ np.sign(resid)
+        n_used += 1
+    if n_used == 0:
+        return 0.0, None, 0
+    dV /= n_used
+    return total / n_used, backward_batch(m, cache, dV), n_used
+
+
+def test_batched_projection_equals_the_per_sample_loop():
+    samples = tiny_round(0) + tiny_round(1) + tiny_round(2) + tiny_round(3)
+    X, gts = batch_of(samples, 36)
+    # With this model, summing 13 or 24 losses pairwise rounds differently
+    # from the running total, so the test sees the order of the sum.
+    m = model_init(45)
+    v, cache = forward_batch(m, X)
+    # Shift the z output so that about a third of the rows face away.
+    m.biases[2][2] -= np.percentile(cache["u"][:, 2], 33)
+    # 36 rows keep more than 8 terms, which a pairwise sum would regroup.
+    assert int((forward_batch(m, X)[0][:, 2] > 1e-6).sum()) >= 9
+    for n in (9, 20, 36):
+        loss, gw, gb, n_used, n_skip = batch_loss_and_grads(m, X[:n], gts[:n], SCREEN)
+        want_loss, (want_w, want_b), want_used = _loop_loss_and_grads(m, X[:n], gts[:n])
+        assert n_used == want_used and 0 < n_used < n and n_skip == n - n_used
+        assert loss == want_loss
+        assert batch_loss(m, X[:n], gts[:n], SCREEN) == want_loss
+        for got, want in zip(gw + gb, want_w + want_b):
+            assert np.array_equal(got, want)
+    # Every row skipped: zero loss and zero gradients.
+    m.biases[2][2] -= 1e3
+    loss, gw, gb, n_used, n_skip = batch_loss_and_grads(m, X, gts, SCREEN)
+    assert (loss, n_used, n_skip) == (0.0, 0, 36)
+    assert _loop_loss_and_grads(m, X, gts)[2] == 0
+    assert all(not g.any() for g in gw + gb)
+    assert batch_loss(m, X, gts, SCREEN) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +418,8 @@ def test_float32_images_train_and_evaluate_like_float64(tmp_path, monkeypatch):
             models.append(path.read_bytes())
         assert models[0] == models[1]
     m = load_model(tmp_path / "model_1_float32.ftkmdl")
-    r32 = evaluate(m, as_dtype(te, np.float32), SCREEN, latency_iters=1)
-    r64 = evaluate(m, as_dtype(te, np.float64), SCREEN, latency_iters=1)
+    r32 = evaluate(m, as_dtype(te, np.float32), SCREEN)
+    r64 = evaluate(m, as_dtype(te, np.float64), SCREEN)
     assert np.array_equal(r32.errors_deg, r64.errors_deg)
     assert r32.per_point == r64.per_point
 
@@ -535,7 +582,7 @@ def test_evaluate_perfect_predictor_stub():
     samples = tiny_round()
     for s in samples:
         s.gaze = forward(m, downsample_image(s.image))
-    rep = evaluate(m, samples, SCREEN, latency_iters=5)
+    rep = evaluate(m, samples, SCREEN)
     # arccos resolution near zero angle is ~sqrt(eps) radians
     assert rep.mean_err_deg < 1e-5
     assert rep.min_err_deg < 1e-5
@@ -547,7 +594,7 @@ def test_evaluate_constant_predictor_matches_grid_eccentricity():
         m.weights[k][:] = 0.0
         m.biases[k][:] = 0.0  # constant (0,0,1) via the zero-vector fallback
     samples = tiny_round()
-    rep = evaluate(m, samples, SCREEN, latency_iters=5)
+    rep = evaluate(m, samples, SCREEN)
     ecc = grid_angular_stats(GRID_9, SCREEN).ecc_deg
     assert rep.mean_err_deg == pytest.approx(float(ecc.mean()), abs=1e-9)
 
@@ -555,11 +602,9 @@ def test_evaluate_constant_predictor_matches_grid_eccentricity():
 def test_evaluate_report_structure():
     m = model_init(21)
     samples = tiny_round()
-    rep = evaluate(m, samples, SCREEN, latency_iters=5)
+    rep = evaluate(m, samples, SCREEN)
     assert len(rep.per_point) == 9
     assert rep.mean_err_deg == pytest.approx(float(rep.errors_deg.mean()), abs=1e-9)
-    assert rep.fps == pytest.approx(1000.0 / rep.total_ms, rel=1e-12)
-    assert set(rep.latency) == {"downsample", "regress"}
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +645,26 @@ def test_model_load_errors(tmp_path):
     path.write_bytes(b"FTKMDL1 2\n" + layer(4) + layer(5))
     with pytest.raises(FormatError):
         load_model(path)
+
+
+def _chained_model_bytes(dims):
+    """FTKMDL bytes of a well-formed zero model with the given layer dims."""
+    out = f"FTKMDL1 {len(dims) - 1}\n".encode()
+    for rows, cols in zip(dims[:-1], dims[1:]):
+        out += f"{rows} {cols}\n".encode() + np.zeros(rows * cols + cols, "<f4").tobytes()
+    return out
+
+
+# Well-formed files whose input is not 32*32 values or whose output is not
+# a 3-vector: the file is at fault, not the config.
+@pytest.mark.parametrize("dims", [(1024, 8, 2), (16, 8, 3)])
+def test_model_load_rejects_wrong_endpoint_dims(tmp_path, dims):
+    path = tmp_path / "ends.ftkmdl"
+    path.write_bytes(_chained_model_bytes(dims))
+    with pytest.raises(FormatError, match="model maps"):
+        load_model(path)
+    path.write_bytes(_chained_model_bytes((1024, 8, 3)))
+    assert load_model(path).dims == (1024, 8, 3)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
