@@ -17,13 +17,12 @@ from .geometry import (CalibratedScreen, GridSpec, MonitorSpec, angular_error,
 from .optics import (ContourPsfParams, NoiseModel, Psf, full_convolve,
                      generate_contour_psf, load_image, load_psf, save_image,
                      save_psf, simulate_measurement)
-from .reconstruct import (WienerConfig, psnr, reconstruct,
-                          tikhonov_objective, wiener_deconvolve)
+from .reconstruct import (WienerConfig, psnr, tikhonov_objective,
+                          wiener_deconvolve)
 from .eyesim import EyeRenderParams, GazeSample, render_eye, render_round
 from .regressor import (AffineRanges, EvalReport, RegressorModel, TrainConfig,
-                        augment_affine, downsample_image, evaluate, fine_tune,
-                        forward, load_model, loss_l1, model_init, save_model,
-                        train)
+                        downsample_image, evaluate, fine_tune, forward,
+                        load_model, loss_l1, model_init, save_model, train)
 from .config import ExperimentConfig
 from .manifest import DatasetManifest, read_manifest
 

@@ -33,8 +33,8 @@ from .optics import (generate_contour_psf, load_psf, save_psf,
 from .pipeline import (TAG_SIMULATE, aggregate_per_point, load_pool,
                        partition_samples, run_protocol, seed_for_sample,
                        train_protocol)
-from .reconstruct import reconstruct, wiener_deconvolve
-from .regressor import load_model, save_model
+from .reconstruct import wiener_deconvolve
+from .regressor import frame_factors, load_model, save_model
 from .report import (write_grid_error_svg, write_per_point_csv,
                      read_per_point_csv, write_subject_table_csv)
 from .seeds import mix_seed
@@ -110,6 +110,7 @@ def cmd_render_dataset(args) -> int:
     params = cfg.render_params()
     # Checked before --force removes an earlier dataset.
     make_grid(grid, screen.monitor)
+    frame_factors((params.image_h, params.image_w))
     for key in ("dataset.subjects", "dataset.rounds", "dataset.n_per_point"):
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
@@ -174,10 +175,9 @@ def cmd_reconstruct(args) -> int:
 
     def make_fn(m, cfg):
         wcfg = cfg.wiener_config()
-        method = cfg["recon.method"]
 
         def fn(s):
-            return reconstruct(s.image, psf, wcfg, method=method)
+            return wiener_deconvolve(s.image, psf, wcfg)
 
         return fn
 
@@ -187,10 +187,13 @@ def cmd_reconstruct(args) -> int:
 def cmd_train(args) -> int:
     m = read_manifest(getattr(args, "in_dir"))
     cfg = _resolve_config(args, m)
-    _prepare_out_dir(args.out, args.force, m.root, _remove_training_outputs)
+    # Checked before --force removes the earlier models.
+    cfg.train_config()
+    cfg.train_config(finetune=True)
     # Partition the rows first, so that only the pooled rounds are loaded.
-    split = load_pool(partition_samples(m.rows, cfg), m.load_sample)
-    result = train_protocol(split, cfg)
+    split = partition_samples(m.rows, cfg)
+    _prepare_out_dir(args.out, args.force, m.root, _remove_training_outputs)
+    result = train_protocol(load_pool(split, m.load_sample), cfg)
     save_model(result.base.model, os.path.join(args.out, "model_base.ftkmdl"))
     result.base.write_history_csv(os.path.join(args.out, "history_base.csv"))
     for sid, tr in sorted(result.per_subject.items()):

@@ -12,11 +12,11 @@ CalibratedScreen), ``grid.`` (GridSpec), ``render.`` (EyeRenderParams),
 ``recon.`` (WienerConfig), ``train.`` (TrainConfig) and ``train.aug_``
 (AffineRanges). Fields a builder fills itself have no key:
 CalibratedScreen.monitor, WienerConfig.output_h/output_w (the render size),
-TrainConfig.aug and TrainConfig.seed. Eleven keys belong to no dataclass
+TrainConfig.aug and TrainConfig.seed. Ten keys belong to no dataclass
 and carry their defaults here: ``seed``, ``dataset.subjects``,
 ``dataset.rounds``, ``dataset.n_per_point``, ``optics.psf_h``,
-``optics.psf_w``, ``recon.method``, ``train.augment_finetune``,
-``train.holdout_round``, ``bench.frames`` and ``bench.warmup``.
+``optics.psf_w``, ``train.augment_finetune``, ``train.holdout_round``,
+``bench.frames`` and ``bench.warmup``.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ SCHEMA: dict[str, tuple[type, object]] = {key: (typ, default) for key, typ, defa
     *_keys("optics.psf_", ContourPsfParams),
     *_keys("optics.noise_", NoiseModel),
     *_keys("recon.", WienerConfig, "output_h", "output_w"),
-    ("recon.method", str, "wiener"),
     *_keys("train.", TrainConfig, "aug", "seed"),
     ("train.augment_finetune", bool, True),
     *_keys("train.aug_", AffineRanges),

@@ -20,7 +20,6 @@ from .eyesim import GazeSample
 from .regressor import (TrainResult, evaluate, fine_tune, model_init, train,
                         EvalReport)
 from .seeds import make_rng, mix_seed
-from .workers import parallel_map, worker_count  # noqa: F401 (re-exported)
 
 # Purpose tags for derived seeds (stable across releases).
 TAG_SIMULATE = 0x51B

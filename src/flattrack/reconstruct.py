@@ -123,16 +123,6 @@ def tikhonov_objective(x_hat, y, p: Psf, gamma: float) -> float:
     return float(np.sum(resid**2) + gamma * np.sum(xa**2))
 
 
-def reconstruct(y, p: Psf, cfg: WienerConfig, method: str = "wiener") -> np.ndarray:
-    """Single entry point for scene recovery: ``"wiener"`` deconvolves,
-    ``"identity"`` passes the measurement through (lensed-baseline path)."""
-    if method == "wiener":
-        return wiener_deconvolve(y, p, cfg)
-    if method == "identity":
-        return _check_image(y, "measurement")
-    raise ConfigError(f"unknown reconstructor {method!r}")
-
-
 def psnr(a, b, peak: float = 1.0) -> float:
     """Peak signal-to-noise ratio of ``a`` against reference ``b``, in dB."""
     aa = np.asarray(a, dtype=float)

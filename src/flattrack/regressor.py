@@ -14,7 +14,6 @@ little-endian float32 weights and cols float32 biases.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -175,8 +174,9 @@ def forward(m: RegressorModel, image) -> np.ndarray:
     return v[0]
 
 
-def backward_batch(m: RegressorModel, cache, dV: np.ndarray):
-    """Gradients of sum_i dV_i . v_i w.r.t. every weight and bias.
+def backward_batch(m: RegressorModel, cache, dV: np.ndarray, first: int = 0):
+    """Gradients of sum_i dV_i . v_i w.r.t. the weights and biases of layers
+    first.. (None below first: a frozen layer needs none).
 
     dV is (N, 3): upstream gradient at the unit-normalized output. Samples
     flagged degenerate in the cache (zero pre-normalization vector)
@@ -193,12 +193,12 @@ def backward_batch(m: RegressorModel, cache, dV: np.ndarray):
     grads_w = [None] * m.n_layers
     grads_b = [None] * m.n_layers
     delta = dU
-    for k in range(m.n_layers - 1, -1, -1):
+    for k in range(m.n_layers - 1, first - 1, -1):
         if k < m.n_layers - 1:
             delta = delta * (cache["pre"][k] > 0)
         grads_w[k] = cache["acts"][k].T @ delta
         grads_b[k] = delta.sum(axis=0)
-        if k > 0:
+        if k > first:
             delta = delta @ m.weights[k].T
     return grads_w, grads_b
 
@@ -228,8 +228,9 @@ def _mean_in_order(losses: np.ndarray) -> float:
 
 
 def batch_loss_and_grads(m: RegressorModel, X: np.ndarray, gt_pts: np.ndarray,
-                         screen: CalibratedScreen):
-    """Mean screen-space L1 loss and its analytic parameter gradients.
+                         screen: CalibratedScreen, first: int = 0):
+    """Mean screen-space L1 loss and its analytic parameter gradients for
+    layers first.. (see backward_batch).
 
     Samples whose predicted gaze is unprojectable (v_z <= 1e-6) are skipped
     and counted instead of clamped, so they add no biased gradient.
@@ -249,7 +250,7 @@ def batch_loss_and_grads(m: RegressorModel, X: np.ndarray, gt_pts: np.ndarray,
     # jac.T @ sign per row: two exact products (sign is -1, 0 or 1), one sum.
     dV[keep] = jac[:, 0] * sign[:, :1] + jac[:, 1] * sign[:, 1:]
     dV /= n_used
-    grads_w, grads_b = backward_batch(m, cache, dV)
+    grads_w, grads_b = backward_batch(m, cache, dV, first)
     return _mean_in_order(losses), grads_w, grads_b, n_used, n - n_used
 
 
@@ -265,42 +266,42 @@ def batch_loss(m: RegressorModel, X: np.ndarray, gt_pts: np.ndarray,
 # image plumbing: downsample and affine augmentation
 # ---------------------------------------------------------------------------
 
-def downsample_image(image, out_h: int = INPUT_SIDE, out_w: int = INPUT_SIDE) -> np.ndarray:
-    """Area-average downsample when dims divide evenly, else bilinear resize."""
+# A frame is 32*fy x 32*fx with 1 <= fy, fx <= _MAX_FACTOR: the regressor
+# reads its fy x fx area mean. At most 7 because _area_mean adds a cell's
+# values one by one, which is numpy's reshape mean only while that mean has
+# fewer than 8 terms per row to add (from 8 on, its pairwise sum regroups).
+_MAX_FACTOR = 7
+
+
+def frame_factors(shape) -> tuple[int, int]:
+    """(fy, fx) of a frame of ``shape``, which must be 32*fy x 32*fx with
+    1 <= fy, fx <= 7; any other shape raises ConfigError."""
+    if len(shape) != 2:
+        raise ConfigError(f"a frame must be 2D, got shape {tuple(shape)}")
+    factors = tuple(side // INPUT_SIDE for side in shape)
+    if any(side % INPUT_SIDE or not 1 <= f <= _MAX_FACTOR
+           for side, f in zip(shape, factors)):
+        raise ConfigError(
+            f"frame {shape[0]}x{shape[1]} is not {INPUT_SIDE}*k per side "
+            f"with 1 <= k <= {_MAX_FACTOR}")
+    return factors
+
+
+def downsample_image(image) -> np.ndarray:
+    """The 32x32 area mean of a frame (see frame_factors)."""
     x = np.asarray(image, dtype=float)
-    if x.ndim != 2:
-        raise ConfigError("downsample needs a 2D image")
-    h, w = x.shape
-    if h == out_h and w == out_w:
-        return x.copy()
-    if _fast_area_mean(h, w, out_h, out_w):
-        out = np.empty((out_h, out_w))
-        _area_mean(x, h // out_h, w // out_w, out, np.empty((h, out_w)))
-        return out
-    if h % out_h == 0 and w % out_w == 0:
-        return x.reshape(out_h, h // out_h, out_w, w // out_w).mean(axis=(1, 3))
-    ys = (np.arange(out_h) + 0.5) * h / out_h - 0.5
-    xs = (np.arange(out_w) + 0.5) * w / out_w - 0.5
-    Yq, Xq = np.meshgrid(ys, xs, indexing="ij")
-    bufs = {b: np.empty(Xq.shape, dtype=t) for b, t in _SAMPLE_BUFFERS.items()}
-    return _bilinear_into(x.reshape(-1), h, w, Xq, Yq, float(x.mean()), bufs)
-
-
-def _fast_area_mean(h: int, w: int, out_h: int, out_w: int) -> bool:
-    """Whether _area_mean downsamples h x w to out_h x out_w exactly as
-    ``reshape(out_h, fy, out_w, fx).mean(axis=(1, 3))`` does, bit for bit.
-    That mean adds each row's fx samples left to right while fx < 8 (numpy's
-    pairwise sum regroups 8 or more), then the fy row sums in order; with
-    one output column it merges the two axes into one sum."""
-    return (h % out_h == 0 and w % out_w == 0 and h // out_h < 8
-            and w // out_w < 8 and out_w > 1)
+    fy, fx = frame_factors(x.shape)
+    out = np.empty((INPUT_SIDE, INPUT_SIDE))
+    _area_mean(x, fy, fx, out, np.empty((x.shape[0], INPUT_SIDE)))
+    return out
 
 
 def _area_mean(x: np.ndarray, fy: int, fx: int, out: np.ndarray,
                rows: np.ndarray) -> None:
     """Mean of each fy x fx cell of x (..., R, W) into out (..., R//fy, W//fx),
-    summed in the order of the reshape mean (see _fast_area_mean); ``rows``
-    is scratch space of shape (..., R, W//fx)."""
+    summed as ``reshape(R//fy, fy, W//fx, fx).mean(axis=(1, 3))`` sums it for
+    fx < 8: each row's fx values left to right, then the fy row sums in
+    order. ``rows`` is scratch space of shape (..., R, W//fx)."""
     if fx == 1:
         rows = x
     else:
@@ -401,9 +402,11 @@ def _bilinear_into(flat: np.ndarray, h: int, w: int, xq: np.ndarray,
 
 
 def _warp_stack(images, affines, out: np.ndarray, fy: int = 1, fx: int = 1) -> None:
-    """Warp each same-shape image by its (rotation_deg, (tx, ty), scale), as
-    warp_affine does, and write the fy x fx area mean of each warped plane
-    into out (k, h//fy, w//fx); fy = fx = 1 writes the planes themselves.
+    """Warp each same-shape image by its (rotation_deg, (tx, ty), scale):
+    rotate and scale about the image center, then translate, with bilinear
+    resampling; out-of-frame samples take the mean of the image's border
+    pixels. Writes the fy x fx area mean of each warped plane into out
+    (k, h//fy, w//fx); fy = fx = 1 writes the planes themselves.
 
     Rows are warped in blocks and each block is averaged straight into out,
     so the warped plane is never held whole. Every output value comes from
@@ -457,20 +460,6 @@ def _edge_mean(img: np.ndarray) -> float:
     return float(edge.mean())
 
 
-def warp_affine(image, rotation_deg: float, translate: tuple[float, float],
-                scale: float) -> np.ndarray:
-    """Rotate/scale about the image center, then translate; bilinear resampling.
-
-    Out-of-frame samples take the mean of the input's border pixels.
-    """
-    img = np.ascontiguousarray(image, dtype=float)
-    if img.ndim != 2:
-        raise ConfigError("warp needs a 2D image")
-    out = np.empty((1,) + img.shape)
-    _warp_stack([img], [(rotation_deg, translate, scale)], out)
-    return out[0]
-
-
 def _draw_affine(ranges: AffineRanges, seed: int):
     """Seeded (rotation_deg, (tx, ty), scale) within the ranges."""
     rng = make_rng(seed)
@@ -479,11 +468,6 @@ def _draw_affine(ranges: AffineRanges, seed: int):
     ty = rng.uniform(-ranges.translate_px, ranges.translate_px)
     sc = rng.uniform(ranges.scale_min, ranges.scale_max)
     return rot, (tx, ty), sc
-
-
-def augment_affine(image, ranges: AffineRanges, seed: int) -> np.ndarray:
-    """Seeded random affine: rotation, translation, scale within the ranges."""
-    return warp_affine(image, *_draw_affine(ranges, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -571,9 +555,13 @@ def _prepare_inputs(samples, augment: bool, ranges: AffineRanges,
                     seed: int, epoch: int) -> np.ndarray:
     """Model inputs (n, 32*32): each image, augmented when asked, downsampled.
 
-    Augmented images are warped in stacks of _STACK, fanned out over the
-    worker pool; each value equals augment_affine then downsample_image.
+    Every image must have the same shape. Augmented images are warped and
+    averaged down in stacks of _STACK, fanned out over the worker pool.
     """
+    shape = np.shape(samples[0].image)
+    if any(np.shape(s.image) != shape for s in samples):
+        raise DataError("the images of a training set differ in shape")
+    fy, fx = frame_factors(shape)
     n = len(samples)
     X = np.empty((n, INPUT_SIDE * INPUT_SIDE))
     if not augment:
@@ -582,23 +570,11 @@ def _prepare_inputs(samples, augment: bool, ranges: AffineRanges,
         return X
 
     def stack(lo):
-        hi = min(lo + _STACK, n)
-        by_shape = itertools.groupby(range(lo, hi), lambda i: np.shape(samples[i].image))
-        for shape, group in by_shape:
-            if len(shape) != 2:
-                raise ConfigError("warp needs a 2D image")
-            h, w = shape
-            ids = list(group)
-            images = [np.asarray(samples[i].image) for i in ids]
-            affines = [_draw_affine(ranges, mix_seed(seed, 0xA46, epoch, i)) for i in ids]
-            out = X[ids[0]:ids[-1] + 1].reshape(len(ids), INPUT_SIDE, INPUT_SIDE)
-            if _fast_area_mean(h, w, INPUT_SIDE, INPUT_SIDE):
-                _warp_stack(images, affines, out, h // INPUT_SIDE, w // INPUT_SIDE)
-            else:
-                planes = np.empty((len(ids), h, w))
-                _warp_stack(images, affines, planes)
-                for plane, row in zip(planes, out):
-                    row[...] = downsample_image(plane)
+        ids = range(lo, min(lo + _STACK, n))
+        images = [np.asarray(samples[i].image) for i in ids]
+        affines = [_draw_affine(ranges, mix_seed(seed, 0xA46, epoch, i)) for i in ids]
+        out = X[ids.start:ids.stop].reshape(len(ids), INPUT_SIDE, INPUT_SIDE)
+        _warp_stack(images, affines, out, fy, fx)
 
     parallel_map(stack, range(0, n, _STACK))
     return X
@@ -626,6 +602,8 @@ def train(m: RegressorModel, train_set, val_set, cfg: TrainConfig,
     model = m.copy()
     if trainable is None:
         trainable = set(range(model.n_layers))
+    # Backpropagation stops at the lowest trainable layer.
+    first = min(trainable, default=model.n_layers)
     opt = AdamState(model)
     gt_train = np.array([s.screen_pt for s in train_set])
     gt_val = np.array([s.screen_pt for s in val_set])
@@ -656,7 +634,7 @@ def train(m: RegressorModel, train_set, val_set, cfg: TrainConfig,
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
             loss, gw, gb, n_used, n_skip = batch_loss_and_grads(
-                model, X_epoch[idx], gt_train[idx], screen)
+                model, X_epoch[idx], gt_train[idx], screen, first)
             if not math.isfinite(loss):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, batch {lo // cfg.batch_size}")

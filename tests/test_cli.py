@@ -11,7 +11,7 @@ import pytest
 from flattrack.cli import main
 from flattrack.config import ExperimentConfig
 from flattrack.manifest import read_manifest
-from flattrack.optics import load_image, load_psf
+from flattrack.optics import load_image, load_psf, save_image
 from flattrack.reconstruct import psnr
 
 
@@ -132,7 +132,8 @@ def test_force_clears_the_earlier_dataset(tmp_path, small_cfg_file):
 
 @pytest.mark.parametrize("setting", ["dataset.subjects=0", "dataset.rounds=0",
                                      "dataset.n_per_point=0",
-                                     "grid.origin_x_px=1900"])
+                                     "grid.origin_x_px=1900",
+                                     "render.image_h=100", "render.image_w=256"])
 def test_render_dataset_config_error_keeps_the_earlier_dataset(
         tmp_path, small_cfg_file, setting):
     out = str(tmp_path / "scenes")
@@ -276,6 +277,28 @@ def test_train_force_removes_the_earlier_models(tmp_path, pipeline_dirs):
         os.listdir(pipeline_dirs["models"]) + ["notes.txt"])
     for name in os.listdir(pipeline_dirs["models"]):
         assert sha(out / name) == sha(os.path.join(pipeline_dirs["models"], name))
+
+
+def test_train_config_error_keeps_the_earlier_models(tmp_path, pipeline_dirs):
+    out = tmp_path / "models"
+    shutil.copytree(pipeline_dirs["models"], out)
+    assert run(["train", "--in", pipeline_dirs["recon"], "--out", str(out),
+                "--force", "--set", "train.lr=-1"]) == 2
+    # The check comes before --force removes the earlier models.
+    assert sorted(os.listdir(out)) == sorted(os.listdir(pipeline_dirs["models"]))
+    for name in os.listdir(pipeline_dirs["models"]):
+        assert sha(out / name) == sha(os.path.join(pipeline_dirs["models"], name))
+
+
+def test_train_rejects_frames_off_the_size_rule(tmp_path, pipeline_dirs, capsys):
+    ds = tmp_path / "recon"
+    shutil.copytree(pipeline_dirs["recon"], ds)
+    for path in (ds / "images").iterdir():
+        save_image(np.full((100, 100), 0.5), str(path))
+    capsys.readouterr()
+    assert run(["train", "--in", str(ds), "--out", str(tmp_path / "models")]) == 2
+    err = capsys.readouterr().err
+    assert "100x100" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("escape", ["absolute", "parent"])

@@ -11,12 +11,13 @@ from flattrack.geometry import CalibratedScreen, GridSpec
 from flattrack.manifest import read_manifest, save_sample, write_rows
 from flattrack.optics import ContourPsfParams, NoiseModel
 from flattrack.pipeline import (aggregate_per_point, partition_samples,
-                                seed_for_sample, split_train_val, worker_count)
+                                seed_for_sample, split_train_val)
 from flattrack.reconstruct import WienerConfig
 from flattrack.regressor import TrainConfig
 from flattrack.report import (read_per_point_csv, write_grid_error_svg,
                               write_per_point_csv)
 from flattrack.seeds import make_rng
+from flattrack.workers import worker_count
 
 
 def small_config():
@@ -56,7 +57,7 @@ def test_config_defaults_round_trip(tmp_path):
     cfg.save(path)
     # Pins every key, its order and its default.
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "791ab2ef52528e6d0bea3822a6f2c39c4c1a6b62b87c1ceae515d5098fcc66e7")
+        "e33c4ac2b85ce5887052a6bdc067681454bd58a89de56e39cf66e64ba44dd6e0")
     back = ExperimentConfig.load(path)
     assert back.values == cfg.values
 
@@ -149,6 +150,17 @@ def test_manifest_round_trip(tmp_path):
     assert np.array_equal(loaded.image.astype(np.float32),
                           samples[5].image.astype(np.float32))
     assert np.max(np.abs(loaded.gaze - samples[5].gaze)) < 1e-15
+
+
+def test_sidecar_with_the_removed_recon_method_key_fails_to_load(tmp_path):
+    cfg = small_config()
+    root = str(tmp_path / "ds")
+    samples = small_samples(cfg, subjects=1, rounds=1)
+    write_rows(root, [save_sample(root, s) for s in samples], cfg)
+    with open(tmp_path / "ds" / "config.cfg", "a") as f:
+        f.write("recon.method = wiener\n")
+    with pytest.raises(ConfigError, match="recon.method"):
+        read_manifest(root)
 
 
 def test_manifest_detects_broken_path(tmp_path):

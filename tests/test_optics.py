@@ -13,7 +13,7 @@ from flattrack.optics import (ContourPsfParams, NoiseModel, Psf,
                               generate_contour_psf, load_image, load_psf,
                               next_fast_len, save_image, save_psf,
                               simulate_measurement, spectral_flatness_ratio)
-from flattrack.pipeline import parallel_map
+from flattrack.workers import parallel_map
 from flattrack.seeds import mix_seed, splitmix64
 
 

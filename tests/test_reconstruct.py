@@ -5,10 +5,9 @@ from flattrack.errors import ConfigError
 from flattrack.optics import (ContourPsfParams, NoiseModel, Psf,
                               fft_conv_shape, full_convolve,
                               generate_contour_psf, simulate_measurement)
-from flattrack.pipeline import parallel_map
+from flattrack.workers import parallel_map
 from flattrack.reconstruct import (WienerConfig, _wiener_padded,
                                    gradient_descent_tikhonov, psnr,
-                                   reconstruct,
                                    tikhonov_objective, wiener_deconvolve)
 
 
@@ -271,35 +270,6 @@ def test_noise_monotonicity():
         y = simulate_measurement(x, p, NoiseModel("gaussian", sigma), 77)
         psnrs.append(psnr(wiener_deconvolve(y, p, cfg), x))
     assert psnrs[0] >= psnrs[1] >= psnrs[2]
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-def test_reconstruct_dispatches_to_wiener():
-    rng = np.random.default_rng(12)
-    x = rng.random((8, 8))
-    p = spiked_band_psf()
-    y = full_convolve(x, p)
-    cfg = cfg_for(x, p)
-    assert np.array_equal(reconstruct(y, p, cfg), wiener_deconvolve(y, p, cfg))
-
-
-def test_identity_reconstructor_passthrough():
-    rng = np.random.default_rng(13)
-    y = rng.random((8, 8))
-    p = spiked_band_psf()
-    out = reconstruct(y, p, WienerConfig(gamma=1e-5, output_h=4, output_w=4),
-                      method="identity")
-    assert np.array_equal(out, y)
-
-
-def test_reconstruct_unknown_method():
-    p = spiked_band_psf()
-    with pytest.raises(ConfigError):
-        reconstruct(np.ones((8, 8)), p, WienerConfig(gamma=1e-5, output_h=4, output_w=4),
-                    method="nope")
 
 
 def test_psnr_helper():

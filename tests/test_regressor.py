@@ -8,18 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flattrack.errors import ConfigError, FormatError, NumericalError
+from flattrack.errors import ConfigError, DataError, FormatError, NumericalError
 from flattrack.eyesim import EyeRenderParams, GazeSample, render_round
 from flattrack.geometry import (CalibratedScreen, GridSpec, angular_error,
                                 gaze_to_screen, gaze_to_screen_jacobian,
                                 grid_angular_stats, screen_to_gaze)
 from flattrack.regressor import (ARCH, AdamState, AffineRanges, RegressorModel,
-                                 TrainConfig, augment_affine,
-                                 batch_loss, batch_loss_and_grads,
+                                 TrainConfig, batch_loss, batch_loss_and_grads,
                                  downsample_image, evaluate, fine_tune,
                                  forward, forward_batch, load_model, loss_l1,
-                                 model_init, save_model, train, warp_affine,
-                                 backward_batch, _STACK, _prepare_inputs)
+                                 model_init, save_model, train,
+                                 backward_batch, _STACK, _draw_affine,
+                                 _prepare_inputs, _warp_stack)
 from flattrack.seeds import mix_seed
 
 SCREEN = CalibratedScreen()
@@ -242,22 +242,29 @@ def test_batched_projection_equals_the_per_sample_loop():
 # augmentation / downsample
 # ---------------------------------------------------------------------------
 
+def warp(img, affine):
+    """One image warped by one (rotation_deg, (tx, ty), scale)."""
+    out = np.empty((1,) + np.shape(img))
+    _warp_stack([img], [affine], out)
+    return out[0]
+
+
 def test_warp_zero_is_identity():
     img = np.random.default_rng(2).random((20, 24))
-    out = warp_affine(img, 0.0, (0.0, 0.0), 1.0)
+    out = warp(img, (0.0, (0.0, 0.0), 1.0))
     assert np.max(np.abs(out - img)) < 1e-6
 
 
 def test_warp_translation_inverse_pair():
     img = np.random.default_rng(3).random((24, 24))
-    fwd = warp_affine(img, 0.0, (5.0, 0.0), 1.0)
-    back = warp_affine(fwd, 0.0, (-5.0, 0.0), 1.0)
+    fwd = warp(img, (0.0, (5.0, 0.0), 1.0))
+    back = warp(fwd, (0.0, (-5.0, 0.0), 1.0))
     inner = (slice(6, -6), slice(6, -6))
     assert np.max(np.abs(back[inner] - img[inner])) < 1e-3
 
 
 def unblocked_warp(img, rotation_deg, translate, scale):
-    """warp_affine on the whole plane at once with 2-D fancy indexing: the
+    """The warp of the whole plane at once with 2-D fancy indexing: the
     formula the row-blocked version must reproduce bit for bit."""
     h, w = img.shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
@@ -289,19 +296,19 @@ def unblocked_warp(img, rotation_deg, translate, scale):
        st.floats(0.5, 2.0), st.integers(0, 2**32 - 1))
 def test_warp_blocks_equal_unblocked_formula(shape, rot, tx, ty, scale, seed):
     img = np.random.default_rng(seed).random(shape)
-    out = warp_affine(img, rot, (tx, ty), scale)
+    out = warp(img, (rot, (tx, ty), scale))
     assert np.array_equal(out, unblocked_warp(img, rot, (tx, ty), scale))
     # The same pixels in Fortran order warp the same.
     view = np.asfortranarray(img)
-    assert np.array_equal(warp_affine(view, rot, (tx, ty), scale), out)
+    assert np.array_equal(warp(view, (rot, (tx, ty), scale)), out)
 
 
 def test_augment_seeded_reproducible():
     img = np.random.default_rng(4).random((16, 16))
     r = AffineRanges()
-    a = augment_affine(img, r, seed=5)
-    b = augment_affine(img, r, seed=5)
-    c = augment_affine(img, r, seed=6)
+    a = warp(img, _draw_affine(r, 5))
+    b = warp(img, _draw_affine(r, 5))
+    c = warp(img, _draw_affine(r, 6))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -309,16 +316,28 @@ def test_augment_seeded_reproducible():
 def test_augment_zero_ranges_identity():
     img = np.random.default_rng(5).random((16, 16))
     r = AffineRanges(rotation_deg=0.0, translate_px=0.0, scale_min=1.0, scale_max=1.0)
-    assert np.max(np.abs(augment_affine(img, r, seed=1) - img)) < 1e-6
+    assert np.max(np.abs(warp(img, _draw_affine(r, 1)) - img)) < 1e-6
 
 
 def test_downsample_block_mean():
-    img = np.arange(16, dtype=float).reshape(4, 4)
-    out = downsample_image(img, 2, 2)
-    assert np.array_equal(out, [[2.5, 4.5], [10.5, 12.5]])
-    assert np.array_equal(downsample_image(img, 4, 4), img)
-    odd = np.random.default_rng(6).random((30, 30))
-    assert downsample_image(odd, 8, 8).shape == (8, 8)
+    img = np.arange(64 * 64, dtype=float).reshape(64, 64)
+    out = downsample_image(img)
+    assert out.shape == (32, 32)
+    assert out[0, 0] == (0 + 1 + 64 + 65) / 4
+    assert out[31, 31] == img[62:, 62:].mean()
+    # A 32x32 frame is its own area mean, in a new array.
+    small = np.random.default_rng(6).random((32, 32)).astype(np.float32)
+    same = downsample_image(small)
+    assert same.dtype == np.float64 and np.array_equal(same, small)
+
+
+# Factor 8 (numpy's reshape mean regroups 8 or more terms), sides off the
+# 32 grid, a zero side and shapes that are not 2-D.
+@pytest.mark.parametrize("shape", [(256, 256), (32, 256), (100, 100), (30, 30),
+                                   (0, 32), (1024,), (2, 32, 32)])
+def test_downsample_rejects_frames_off_the_rule(shape):
+    with pytest.raises(ConfigError):
+        downsample_image(np.zeros(shape))
 
 
 def reshape_mean(x, out_h, out_w):
@@ -328,23 +347,21 @@ def reshape_mean(x, out_h, out_w):
     return x.reshape(out_h, h // out_h, out_w, w // out_w).mean(axis=(1, 3))
 
 
-# Factors up to 9 and one output column also cover the reshape-mean fallback.
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 9), st.integers(1, 9), st.sampled_from([1, 2, 3, 5, 32]),
-       st.sampled_from([1, 2, 3, 5, 32]), st.floats(-8.0, 8.0), st.booleans(),
+# Every factor the frame rule accepts, on each axis.
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 7), st.floats(-8.0, 8.0), st.booleans(),
        st.integers(0, 2**32 - 1))
-def test_downsample_equals_reshape_mean(fy, fx, out_h, out_w, exponent, signed, seed):
+def test_downsample_equals_reshape_mean(fy, fx, exponent, signed, seed):
     scale = 10.0 ** exponent
-    x = np.random.default_rng(seed).random((out_h * fy, out_w * fx)) * scale
+    x = np.random.default_rng(seed).random((32 * fy, 32 * fx)) * scale
     if signed:
         x -= 0.5 * scale
-    assert np.array_equal(downsample_image(x, out_h, out_w),
-                          reshape_mean(x, out_h, out_w))
+    assert np.array_equal(downsample_image(x), reshape_mean(x, 32, 32))
 
 
-# Sides that are multiples of 32 (block area mean), and sides that are not
-# (whole warped planes, then the bilinear resize); 2 stacks and a remainder.
-@pytest.mark.parametrize("shape", [(128, 128), (100, 100), (45, 75)])
+# Square and non-square 32*k frames, one as wide as the rule allows;
+# 2 stacks and a remainder.
+@pytest.mark.parametrize("shape", [(128, 128), (64, 96), (32, 224)])
 def test_stacked_augmentation_equals_per_sample(shape, monkeypatch):
     rng = np.random.default_rng(21)
     samples = [SimpleNamespace(image=rng.random(shape)) for _ in range(2 * _STACK + 3)]
@@ -352,8 +369,8 @@ def test_stacked_augmentation_equals_per_sample(shape, monkeypatch):
                           scale_min=0.8, scale_max=1.2)
     seed, epoch = 5, 3
     expected = np.stack([
-        downsample_image(augment_affine(s.image, ranges,
-                                        mix_seed(seed, 0xA46, epoch, i))).reshape(-1)
+        downsample_image(warp(s.image, _draw_affine(
+            ranges, mix_seed(seed, 0xA46, epoch, i)))).reshape(-1)
         for i, s in enumerate(samples)])
     interval = sys.getswitchinterval()
     try:
@@ -367,7 +384,7 @@ def test_stacked_augmentation_equals_per_sample(shape, monkeypatch):
 
 
 def test_training_identical_at_any_thread_count(tmp_path, monkeypatch):
-    params = EyeRenderParams()  # 128x128 scenes: the block area-mean path
+    params = EyeRenderParams()  # the default 128x128 scenes
     tr = [s for r in (0, 1) for s in render_round(GRID_9, SCREEN, params, 0, r, 1, 11)]
     va = render_round(GRID_9, SCREEN, params, 0, 2, 1, 11)
     cfg = TrainConfig(epochs=2, lr=1e-3, batch_size=8, seed=7)
@@ -389,7 +406,7 @@ def as_dtype(samples, dtype):
             for s in samples]
 
 
-@pytest.mark.parametrize("shape", [(128, 128), (45, 75)])
+@pytest.mark.parametrize("shape", [(128, 128), (64, 96)])
 def test_float32_images_prepare_like_float64(shape):
     rng = np.random.default_rng(23)
     images = [rng.random(shape).astype(np.float32) for _ in range(_STACK + 3)]
@@ -403,8 +420,21 @@ def test_float32_images_prepare_like_float64(shape):
         assert np.array_equal(x32, x64)
 
 
+def test_prepare_inputs_checks_the_frame_shape():
+    rng = np.random.default_rng(24)
+    ranges = AffineRanges()
+    mixed = [SimpleNamespace(image=rng.random(shape))
+             for shape in [(64, 64)] * _STACK + [(96, 96)]]
+    off_rule = [SimpleNamespace(image=rng.random((100, 100))) for _ in range(3)]
+    for augment in (True, False):
+        with pytest.raises(DataError):
+            _prepare_inputs(mixed, augment, ranges, 5, 3)
+        with pytest.raises(ConfigError):
+            _prepare_inputs(off_rule, augment, ranges, 5, 3)
+
+
 def test_float32_images_train_and_evaluate_like_float64(tmp_path, monkeypatch):
-    params = EyeRenderParams()  # 128x128 scenes: the block area-mean path
+    params = EyeRenderParams()  # the default 128x128 scenes
     rounds = [render_round(GRID_9, SCREEN, params, 0, r, 1, 13) for r in range(4)]
     tr, va, te = rounds[0] + rounds[1], rounds[2], rounds[3]
     cfg = TrainConfig(epochs=2, lr=1e-3, batch_size=8, seed=7)
@@ -537,6 +567,16 @@ def test_finetune_freezes_first_layer():
     assert np.array_equal(res.model.biases[0], base.model.biases[0])
     assert not np.array_equal(res.model.weights[1], base.model.weights[1])
     assert not np.array_equal(res.model.weights[2], base.model.weights[2])
+
+
+def test_backward_stops_at_the_first_trainable_layer():
+    X, gts = batch_of(tiny_round(), n=9)
+    m = model_init(15)
+    _, gw, gb, _, _ = batch_loss_and_grads(m, X, gts, SCREEN)
+    _, fw, fb, _, _ = batch_loss_and_grads(m, X, gts, SCREEN, first=1)
+    assert fw[0] is None and fb[0] is None  # the frozen layer gets none
+    for k in (1, 2):
+        assert np.array_equal(fw[k], gw[k]) and np.array_equal(fb[k], gb[k])
 
 
 def test_finetune_never_worse_on_val():
