@@ -21,8 +21,9 @@ from .reconstruct import (WienerConfig, psnr, tikhonov_objective,
                           wiener_deconvolve)
 from .eyesim import EyeRenderParams, GazeSample, render_eye, render_round
 from .regressor import (AffineRanges, EvalReport, RegressorModel, TrainConfig,
-                        downsample_image, evaluate, fine_tune, forward,
-                        load_model, loss_l1, model_init, save_model, train)
+                        TrainingSet, downsample_image, evaluate, fine_tune,
+                        forward, load_model, loss_l1, model_init, save_model,
+                        train, training_set)
 from .config import ExperimentConfig
 from .manifest import DatasetManifest, read_manifest
 

@@ -24,7 +24,7 @@ import numpy as np
 from .bench import run_pipeline_bench, time_stages
 from .config import ExperimentConfig
 from .errors import ConfigError, DataError, FlatTrackError, NumericalError
-from .eyesim import GazeSample, render_round
+from .eyesim import GazeSample, iter_round
 from .geometry import grid_angular_stats, make_grid
 from .manifest import (DatasetManifest, read_manifest, remove_dataset,
                        save_sample, write_rows)
@@ -117,8 +117,9 @@ def cmd_render_dataset(args) -> int:
     _prepare_out_dir(args.out, args.force)
 
     def one_round(ids):
+        # Each frame is saved as it is rendered, so a worker holds one.
         sid, rid = ids
-        return [save_sample(args.out, s) for s in render_round(
+        return [save_sample(args.out, s) for s in iter_round(
             grid, screen, params, sid, rid, cfg["dataset.n_per_point"], cfg["seed"])]
 
     rounds = [(sid, rid) for sid in range(cfg["dataset.subjects"])
@@ -190,10 +191,12 @@ def cmd_train(args) -> int:
     # Checked before --force removes the earlier models.
     cfg.train_config()
     cfg.train_config(finetune=True)
-    # Partition the rows first, so that only the pooled rounds are loaded.
+    # Partition the rows first, so that only the pooled rounds are loaded;
+    # loading reduces each frame to its training plane and checks its size.
     split = partition_samples(m.rows, cfg)
+    pool = load_pool(split, m.load_sample)
     _prepare_out_dir(args.out, args.force, m.root, _remove_training_outputs)
-    result = train_protocol(load_pool(split, m.load_sample), cfg)
+    result = train_protocol(split, pool, cfg)
     save_model(result.base.model, os.path.join(args.out, "model_base.ftkmdl"))
     result.base.write_history_csv(os.path.join(args.out, "history_base.csv"))
     for sid, tr in sorted(result.per_subject.items()):

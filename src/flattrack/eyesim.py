@@ -173,11 +173,17 @@ def render_round(grid: GridSpec, screen: CalibratedScreen, params: EyeRenderPara
     (base_seed, subject_id) only, so it is stable across rounds. Jitter is
     per capture.
     """
+    return list(iter_round(grid, screen, params, subject_id, round_id,
+                           n_per_point, base_seed))
+
+
+def iter_round(grid: GridSpec, screen: CalibratedScreen, params: EyeRenderParams,
+               subject_id: int, round_id: int, n_per_point: int, base_seed: int):
+    """render_round's captures, rendered one at a time as they are asked for."""
     if n_per_point < 1:
         raise ConfigError("n_per_point must be >= 1")
     pts = make_grid(grid, screen.monitor)
     subject_seed = _subject_seed(base_seed, subject_id)
-    samples = []
     k = 0
     for i in range(grid.rows):
         for j in range(grid.cols):
@@ -185,15 +191,13 @@ def render_round(grid: GridSpec, screen: CalibratedScreen, params: EyeRenderPara
             g = screen_to_gaze(pt, screen)
             for _ in range(n_per_point):
                 jitter = _jitter_seed(base_seed, subject_id, round_id, k)
-                img = render_eye(g, params, subject_seed, jitter)
-                samples.append(GazeSample(
-                    image=img, gaze=g, screen_pt=pt,
-                    subject_id=subject_id, round_id=round_id,
+                yield GazeSample(
+                    image=render_eye(g, params, subject_seed, jitter), gaze=g,
+                    screen_pt=pt, subject_id=subject_id, round_id=round_id,
                     grid_i=i, grid_j=j, stage="scene",
                     sample_id=f"s{subject_id:02d}_r{round_id:02d}_{k:05d}",
-                ))
+                )
                 k += 1
-    return samples
 
 
 def _subject_seed(base_seed: int, subject_id: int) -> int:

@@ -17,8 +17,8 @@ import numpy as np
 from .config import ExperimentConfig
 from .errors import DataError
 from .eyesim import GazeSample
-from .regressor import (TrainResult, evaluate, fine_tune, model_init, train,
-                        EvalReport)
+from .regressor import (EvalReport, TrainingSet, TrainResult, evaluate,
+                        fine_tune, model_init, train, training_set)
 from .seeds import make_rng, mix_seed
 
 # Purpose tags for derived seeds (stable across releases).
@@ -106,30 +106,30 @@ class ProtocolResult:
     reports: dict[int, EvalReport] = field(default_factory=dict)
 
 
-def load_pool(split: ProtocolSplit, load) -> ProtocolSplit:
-    """The same partition with each pooled item replaced by ``load(item)``,
-    called once per item. The held-out items are kept as they are, so a
-    split of manifest rows never opens a held-out image."""
-    loaded = {it.sample_id: load(it) for it in split.train_pool + split.val_pool}
-
-    def get(items):
-        return [loaded[it.sample_id] for it in items]
-
-    return ProtocolSplit(
-        heldout=split.heldout, train_pool=get(split.train_pool),
-        val_pool=get(split.val_pool),
-        per_subject={sid: (get(tr), get(va))
-                     for sid, (tr, va) in split.per_subject.items()})
+def load_pool(split: ProtocolSplit, load=None) -> TrainingSet:
+    """The training set of the pooled items of ``split``, pretraining's
+    train items then its validation items, each read once with
+    ``load(item)`` (or taken as it is) and reduced to its training plane at
+    once. The held-out items are never read, so a split of manifest rows
+    never opens a held-out image."""
+    return training_set(split.train_pool + split.val_pool, load)
 
 
-def train_protocol(split: ProtocolSplit, config: ExperimentConfig) -> ProtocolResult:
+def train_protocol(split: ProtocolSplit, pool: TrainingSet,
+                   config: ExperimentConfig) -> ProtocolResult:
     """Pretrain on the pooled rounds, then fine-tune a copy per subject.
 
-    Reads the pooled samples of ``split`` only, never its held-out rounds.
+    ``pool`` is load_pool(split): every set trained on is cut from its one
+    plane stack. The held-out rounds are never read.
     """
+    row = {it.sample_id: i for i, it in enumerate(split.train_pool + split.val_pool)}
+
+    def cut(items):
+        return pool.subset([row[it.sample_id] for it in items])
+
     screen = config.screen()
     master = config["seed"]
-    base = train(model_init(master), split.train_pool, split.val_pool,
+    base = train(model_init(master), cut(split.train_pool), cut(split.val_pool),
                  config.train_config(seed=mix_seed(master, TAG_PRETRAIN)),
                  screen)
     per_subject: dict[int, TrainResult] = {}
@@ -137,14 +137,15 @@ def train_protocol(split: ProtocolSplit, config: ExperimentConfig) -> ProtocolRe
         tr, va = split.per_subject[sid]
         cfg_ft = config.train_config(seed=mix_seed(master, TAG_FINETUNE, sid),
                                      finetune=True)
-        per_subject[sid] = fine_tune(base.model, tr, va, cfg_ft, screen)
+        per_subject[sid] = fine_tune(base.model, cut(tr), cut(va), cfg_ft, screen)
     return ProtocolResult(base=base, per_subject=per_subject, split=split)
 
 
 def run_protocol(samples: list[GazeSample], config: ExperimentConfig,
                  evaluate_heldout: bool = True) -> ProtocolResult:
     """Pretrain across subjects, fine-tune per subject, evaluate held-out rounds."""
-    result = train_protocol(partition_samples(samples, config), config)
+    split = partition_samples(samples, config)
+    result = train_protocol(split, load_pool(split), config)
     if evaluate_heldout:
         screen = config.screen()
         for sid, heldout in sorted(result.split.heldout.items()):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -287,6 +287,16 @@ def frame_factors(shape) -> tuple[int, int]:
     return factors
 
 
+def plane_factor(shape) -> int:
+    """r of a frame of ``shape`` (see frame_factors): training reads the
+    frame's r x r area mean, its training plane. r is the largest common
+    divisor of (fy, fx) that leaves fy/r and fx/r at least 2, and 1 when
+    none does, so a 128x128 frame trains on a 64x64 plane."""
+    fy, fx = frame_factors(shape)
+    return max((r for r in range(2, min(fy, fx) // 2 + 1) if fy % r == fx % r == 0),
+               default=1)
+
+
 def downsample_image(image) -> np.ndarray:
     """The 32x32 area mean of a frame (see frame_factors)."""
     x = np.asarray(image, dtype=float)
@@ -319,30 +329,30 @@ def _area_mean(x: np.ndarray, fy: int, fx: int, out: np.ndarray,
 
 
 # The stacked warp works on _STACK images x _WARP_ROWS rows at a time: at a
-# 128-pixel width each operation covers 32k float64 values (256 KiB), enough
-# for two threads to run much of the time outside the GIL; per-sample warps
-# and stacks of 4 ran slower on two threads than on one. Its temporaries
-# live in per-thread buffers (_warp_workspace), because fresh ones this size
-# would be mmapped and page-faulted in again on every block.
+# 64-pixel plane width each operation covers 16k float64 values (128 KiB),
+# enough for two threads to run much of the time outside the GIL; per-sample
+# warps and stacks of 4 ran slower on two threads than on one. Its
+# temporaries live in per-thread buffers (_warp_workspace), because fresh
+# ones this size would be mmapped and page-faulted in again on every block.
 _STACK = 8
 _WARP_ROWS = 32
 _workspace = threading.local()
 
-# Scratch arrays of one bilinear sampling pass, by name and dtype.
-_SAMPLE_BUFFERS = {"p": float, "q": float, "r": float, "idx": np.intp,
-                   "inside": bool, "test": bool}
+# Scratch arrays of one bilinear sampling pass, by name and dtype; "gather"
+# takes the dtype of the image stack.
+_SAMPLE_BUFFERS = {"p": float, "q": float, "r": float, "xq": float, "yq": float,
+                   "idx": np.intp, "inside": bool, "test": bool}
 
 
-def _warp_workspace(n: int, n_stack: int) -> dict[str, np.ndarray]:
-    """Flat scratch arrays owned by the calling thread, grown on demand:
-    n elements for each block temporary and n_stack for stacked images."""
+def _warp_workspace(n: int, dtype) -> dict[str, np.ndarray]:
+    """Flat scratch arrays of n elements owned by the calling thread, grown
+    on demand."""
     ws = getattr(_workspace, "warp", None)
-    if ws is None or ws["p"].size < n or ws["stack"].size < n_stack:
-        if ws is not None:
-            n, n_stack = max(n, ws["p"].size), max(n_stack, ws["stack"].size)
+    if ws is None or ws["p"].size < n or ws["gather"].dtype != dtype:
+        n = max(n, ws["p"].size) if ws is not None else n
         ws = _workspace.warp = {
             **{b: np.empty(n, dtype=t) for b, t in _SAMPLE_BUFFERS.items()},
-            "xq": np.empty(n), "yq": np.empty(n), "stack": np.empty(n_stack)}
+            "gather": np.empty(n, dtype=dtype)}
     return ws
 
 
@@ -353,8 +363,10 @@ def _bilinear_into(flat: np.ndarray, h: int, w: int, xq: np.ndarray,
     ``fill`` outside the frame; the image of each sample starts at ``offset``
     in ``flat``. Works in place: xq and yq are overwritten, and the result
     is ``bufs["p"]``. Every array has the shape of xq, or broadcasts to it.
+    The pixels are gathered in the dtype of ``flat`` and weighted in
+    float64, which promotes a float32 pixel exactly.
     """
-    p, q, r, idx = bufs["p"], bufs["q"], bufs["r"], bufs["idx"]
+    p, q, r, idx, g = bufs["p"], bufs["q"], bufs["r"], bufs["idx"], bufs["gather"]
     inside, test = bufs["inside"], bufs["test"]
     np.greater_equal(xq, 0, out=inside)
     inside &= np.less_equal(xq, w - 1, out=test)
@@ -378,18 +390,18 @@ def _bilinear_into(flat: np.ndarray, h: int, w: int, xq: np.ndarray,
     # Gather with take on the flat image(s), several times faster than 2-D
     # fancy indexing: top = a*(1-wx) + b*wx in p, bot = c*(1-wx) + d*wx in r.
     np.subtract(1, xq, out=q)
-    np.take(flat, idx, out=p, mode="clip")
-    p *= q
+    np.take(flat, idx, out=g, mode="clip")
+    np.multiply(g, q, out=p)
     idx += dx
-    np.take(flat, idx, out=r, mode="clip")
-    r *= xq
+    np.take(flat, idx, out=g, mode="clip")
+    np.multiply(g, xq, out=r)
     p += r
     idx += dy - dx
-    np.take(flat, idx, out=r, mode="clip")
-    r *= q
+    np.take(flat, idx, out=g, mode="clip")
+    np.multiply(g, q, out=r)
     idx += dx
-    np.take(flat, idx, out=q, mode="clip")
-    q *= xq
+    np.take(flat, idx, out=g, mode="clip")
+    np.multiply(g, xq, out=q)
     r += q
     # top*(1-wy) + bot*wy, then the fill outside the frame.
     np.subtract(1, yq, out=xq)
@@ -401,28 +413,26 @@ def _bilinear_into(flat: np.ndarray, h: int, w: int, xq: np.ndarray,
     return p
 
 
-def _warp_stack(images, affines, out: np.ndarray, fy: int = 1, fx: int = 1) -> None:
-    """Warp each same-shape image by its (rotation_deg, (tx, ty), scale):
-    rotate and scale about the image center, then translate, with bilinear
-    resampling; out-of-frame samples take the mean of the image's border
-    pixels. Writes the fy x fx area mean of each warped plane into out
-    (k, h//fy, w//fx); fy = fx = 1 writes the planes themselves.
+def _warp_stack(planes: np.ndarray, rows, affines, out: np.ndarray,
+                fy: int = 1, fx: int = 1) -> None:
+    """Warp each image planes[rows[i]] of the (N, h, w) stack by affines[i],
+    a (rotation_deg, (tx, ty), scale): rotate and scale about the image
+    center, then translate, with bilinear resampling; out-of-frame samples
+    take the mean of the image's border pixels. Writes the fy x fx area mean
+    of each warped image into out (k, h//fy, w//fx); fy = fx = 1 writes the
+    warped images themselves.
 
-    Rows are warped in blocks and each block is averaged straight into out,
-    so the warped plane is never held whole. Every output value comes from
-    the same floating-point operations, in the same order, as for one image
-    warped whole, so results do not depend on the stacking or the blocks.
+    A C-contiguous stack is read in place, in its own dtype. Rows are warped
+    in blocks and each block is averaged straight into out, so the warped
+    image is never held whole. Every output value comes from the same
+    floating-point operations, in the same order, as for one image warped
+    whole, so results do not depend on the stacking or the blocks.
     """
-    k = len(images)
-    h, w = images[0].shape
-    rows = fy * max(1, _WARP_ROWS // fy)
-    ws = _warp_workspace(k * rows * w, k * h * w)
-    flat = ws["stack"][:k * h * w]
-    planes = flat.reshape(k, h, w)
-    # The copy converts to float64, and the fill is reduced from it: a
-    # float32 image's own mean would round differently.
-    for plane, img in zip(planes, images):
-        plane[...] = img
+    k = len(rows)
+    h, w = planes.shape[1:]
+    flat = planes.reshape(-1)
+    rows_per_block = fy * max(1, _WARP_ROWS // fy)
+    ws = _warp_workspace(k * rows_per_block * w, planes.dtype)
 
     def per_image(values):
         return np.array(values, dtype=float)[:, None, None]
@@ -431,15 +441,15 @@ def _warp_stack(images, affines, out: np.ndarray, fy: int = 1, fx: int = 1) -> N
     c, s = per_image([math.cos(t) for t in th]), per_image([math.sin(t) for t in th])
     inv = per_image([1.0 / a[2] for a in affines])
     tx, ty = per_image([a[1][0] for a in affines]), per_image([a[1][1] for a in affines])
-    fill = per_image([_edge_mean(plane) for plane in planes])
-    offset = per_image(np.arange(k) * (h * w))
+    fill = per_image([_edge_mean(planes[i]) for i in rows])
+    offset = per_image(np.asarray(rows) * (h * w))
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     px = np.arange(w, dtype=float) - cx - tx
     cpx, spx = c * px, -s * px
-    for r in range(0, h, rows):
-        n_rows = min(rows, h - r)
+    for r in range(0, h, rows_per_block):
+        n_rows = min(rows_per_block, h - r)
         n = k * n_rows * w
-        block = {b: a[:n].reshape(k, n_rows, w) for b, a in ws.items() if b != "stack"}
+        block = {b: a[:n].reshape(k, n_rows, w) for b, a in ws.items()}
         xq, yq = block["xq"], block["yq"]
         py = np.arange(r, r + n_rows, dtype=float)[:, None] - cy - ty
         # inv * (c*px + s*py) + cx and inv * (-s*px + c*py) + cy
@@ -455,8 +465,10 @@ def _warp_stack(images, affines, out: np.ndarray, fy: int = 1, fx: int = 1) -> N
 
 
 def _edge_mean(img: np.ndarray) -> float:
-    """Mean of the border pixels: the value of out-of-frame samples."""
-    edge = np.concatenate([img[0, :], img[-1, :], img[1:-1, 0], img[1:-1, -1]])
+    """Mean of the border pixels, in float64: the value of out-of-frame
+    samples."""
+    edge = np.concatenate([img[0, :], img[-1, :], img[1:-1, 0], img[1:-1, -1]],
+                          dtype=float)
     return float(edge.mean())
 
 
@@ -542,39 +554,88 @@ class TrainResult:
     best_val_err_deg: float
 
     def write_history_csv(self, path) -> None:
+        """One row per epoch: the EpochStats fields, in their order."""
         import csv
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
-            w.writerow(["epoch", "train_loss", "val_loss", "val_err_deg", "lr"])
+            w.writerow([f.name for f in fields(EpochStats)])
             for row in self.history:
-                w.writerow([row.epoch, repr(row.train_loss), repr(row.val_loss),
-                            repr(row.val_err_deg), repr(row.lr)])
+                w.writerow([repr(getattr(row, f.name)) for f in fields(EpochStats)])
 
 
-def _prepare_inputs(samples, augment: bool, ranges: AffineRanges,
-                    seed: int, epoch: int) -> np.ndarray:
-    """Model inputs (n, 32*32): each image, augmented when asked, downsampled.
+@dataclass(frozen=True)
+class TrainingSet:
+    """Samples to train or validate on, as training planes: planes[rows[i]]
+    is sample i's frame reduced by its r x r area mean (see plane_factor),
+    screen_pts[i] and gazes[i] its labels. Sets cut from one pool with
+    subset share its plane stack."""
 
-    Every image must have the same shape. Augmented images are warped and
-    averaged down in stacks of _STACK, fanned out over the worker pool.
-    """
-    shape = np.shape(samples[0].image)
-    if any(np.shape(s.image) != shape for s in samples):
-        raise DataError("the images of a training set differ in shape")
-    fy, fx = frame_factors(shape)
+    planes: np.ndarray  # float32 (N, h/r, w/r), C-contiguous
+    r: int
+    rows: np.ndarray
+    screen_pts: np.ndarray
+    gazes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def subset(self, ids) -> "TrainingSet":
+        """Samples ids of this set, in that order, on the same planes."""
+        ids = np.asarray(ids, dtype=np.intp)
+        return TrainingSet(self.planes, self.r, self.rows[ids],
+                           self.screen_pts[ids], self.gazes[ids])
+
+
+def training_set(samples, load=None) -> TrainingSet:
+    """The training set of ``samples`` (anything with screen_pt and gaze).
+    Frame i is ``load(samples[i]).image``, or ``samples[i].image`` without
+    ``load``; each is reduced to its plane as soon as it is read, so no
+    frame is held beyond its own reduction. Every frame must have the same
+    shape, one that frame_factors accepts."""
     n = len(samples)
+    if n == 0:
+        raise DataError("a training set needs at least one sample")
+    planes = None
+    for i, s in enumerate(samples):
+        x = np.asarray((s if load is None else load(s)).image, dtype=float)
+        if planes is None:
+            shape, r = x.shape, plane_factor(x.shape)
+            planes = np.empty((n, shape[0] // r, shape[1] // r), dtype=np.float32)
+            mean = np.empty(planes.shape[1:])
+            scratch = np.empty((shape[0], shape[1] // r))
+        elif x.shape != shape:
+            raise DataError("the images of a training set differ in shape")
+        _area_mean(x, r, r, mean, scratch)
+        planes[i] = mean
+    return TrainingSet(planes, r, np.arange(n),
+                       np.array([s.screen_pt for s in samples], dtype=float),
+                       np.array([s.gaze for s in samples], dtype=float))
+
+
+def _prepare_inputs(ts: TrainingSet, augment: bool, ranges: AffineRanges,
+                    seed: int, epoch: int) -> np.ndarray:
+    """Model inputs (n, 32*32): the 32x32 area mean of each training plane,
+    warped first when asked. The warp draws its affine in frame pixels and
+    applies it to the plane with the translation divided by r. Augmented
+    planes are warped and averaged down in stacks of _STACK, fanned out
+    over the worker pool.
+    """
+    n = len(ts)
     X = np.empty((n, INPUT_SIDE * INPUT_SIDE))
     if not augment:
-        for i, s in enumerate(samples):
-            X[i] = downsample_image(s.image).reshape(-1)
+        for i, row in enumerate(ts.rows):
+            X[i] = downsample_image(ts.planes[row]).reshape(-1)
         return X
+    fy, fx = frame_factors(ts.planes.shape[1:])
 
     def stack(lo):
         ids = range(lo, min(lo + _STACK, n))
-        images = [np.asarray(samples[i].image) for i in ids]
-        affines = [_draw_affine(ranges, mix_seed(seed, 0xA46, epoch, i)) for i in ids]
+        affines = []
+        for i in ids:
+            rot, (tx, ty), scale = _draw_affine(ranges, mix_seed(seed, 0xA46, epoch, i))
+            affines.append((rot, (tx / ts.r, ty / ts.r), scale))
         out = X[ids.start:ids.stop].reshape(len(ids), INPUT_SIDE, INPUT_SIDE)
-        _warp_stack(images, affines, out, fy, fx)
+        _warp_stack(ts.planes, ts.rows[ids.start:ids.stop], affines, out, fy, fx)
 
     parallel_map(stack, range(0, n, _STACK))
     return X
@@ -591,7 +652,8 @@ def _val_metrics(m: RegressorModel, X: np.ndarray, gt_pts: np.ndarray,
 
 def train(m: RegressorModel, train_set, val_set, cfg: TrainConfig,
           screen: CalibratedScreen, trainable: set[int] | None = None) -> TrainResult:
-    """Run the full regimen and return the weights with best validation error.
+    """Run the full regimen on two TrainingSets and return the weights with
+    best validation error.
 
     Seeded shuffling, Adam with coupled L2 weight decay, learning rate
     decayed every lr_step_epochs. ``trainable`` restricts updates to a layer
@@ -605,9 +667,7 @@ def train(m: RegressorModel, train_set, val_set, cfg: TrainConfig,
     # Backpropagation stops at the lowest trainable layer.
     first = min(trainable, default=model.n_layers)
     opt = AdamState(model)
-    gt_train = np.array([s.screen_pt for s in train_set])
-    gt_val = np.array([s.screen_pt for s in val_set])
-    gaze_val = np.array([s.gaze for s in val_set])
+    gt_train, gt_val, gaze_val = train_set.screen_pts, val_set.screen_pts, val_set.gazes
     X_val = _prepare_inputs(val_set, False, cfg.aug, cfg.seed, 0)
     X_train_static = None
     if not cfg.augment:

@@ -179,6 +179,29 @@ def test_render_dataset_same_at_any_thread_count(tmp_path, small_cfg_file, monke
     assert written[0] == written[1]
 
 
+def test_render_dataset_saves_each_frame_before_the_next(tmp_path, small_cfg_file,
+                                                         monkeypatch):
+    import flattrack.cli
+    import flattrack.eyesim
+    events = []
+    render_eye, save_sample = flattrack.eyesim.render_eye, flattrack.cli.save_sample
+
+    def recording_render(*args, **kwargs):
+        events.append("render")
+        return render_eye(*args, **kwargs)
+
+    def recording_save(root, s):
+        events.append("save")
+        return save_sample(root, s)
+
+    monkeypatch.setattr(flattrack.eyesim, "render_eye", recording_render)
+    monkeypatch.setattr(flattrack.cli, "save_sample", recording_save)
+    monkeypatch.setenv("FLATTRACK_THREADS", "1")
+    out = tmp_path / "scenes"
+    assert run(["render-dataset", "--config", small_cfg_file, "--out", str(out)]) == 0
+    assert events == ["render", "save"] * (2 * 2 * 9)
+
+
 def test_simulate_dims_and_rows(pipeline_dirs):
     scenes = read_manifest(pipeline_dirs["scenes"])
     meas = read_manifest(pipeline_dirs["meas"])
@@ -299,6 +322,22 @@ def test_train_rejects_frames_off_the_size_rule(tmp_path, pipeline_dirs, capsys)
     assert run(["train", "--in", str(ds), "--out", str(tmp_path / "models")]) == 2
     err = capsys.readouterr().err
     assert "100x100" in err and "Traceback" not in err
+
+
+def test_train_force_on_frames_off_the_rule_keeps_the_earlier_models(tmp_path,
+                                                                     pipeline_dirs):
+    ds = tmp_path / "recon"
+    shutil.copytree(pipeline_dirs["recon"], ds)
+    for path in (ds / "images").iterdir():
+        save_image(np.full((100, 100), 0.5), str(path))
+    out = tmp_path / "models"
+    shutil.copytree(pipeline_dirs["models"], out)
+    assert run(["train", "--in", str(ds), "--out", str(out), "--force"]) == 2
+    # The pool is read, and its frame size checked, before --force removes
+    # the earlier models.
+    assert sorted(os.listdir(out)) == sorted(os.listdir(pipeline_dirs["models"]))
+    for name in os.listdir(pipeline_dirs["models"]):
+        assert sha(out / name) == sha(os.path.join(pipeline_dirs["models"], name))
 
 
 @pytest.mark.parametrize("escape", ["absolute", "parent"])

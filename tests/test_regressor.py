@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 import sys
@@ -13,13 +14,14 @@ from flattrack.eyesim import EyeRenderParams, GazeSample, render_round
 from flattrack.geometry import (CalibratedScreen, GridSpec, angular_error,
                                 gaze_to_screen, gaze_to_screen_jacobian,
                                 grid_angular_stats, screen_to_gaze)
-from flattrack.regressor import (ARCH, AdamState, AffineRanges, RegressorModel,
-                                 TrainConfig, batch_loss, batch_loss_and_grads,
-                                 downsample_image, evaluate, fine_tune,
-                                 forward, forward_batch, load_model, loss_l1,
-                                 model_init, save_model, train,
-                                 backward_batch, _STACK, _draw_affine,
-                                 _prepare_inputs, _warp_stack)
+from flattrack.regressor import (ARCH, AdamState, AffineRanges, EpochStats,
+                                 RegressorModel, TrainConfig, batch_loss,
+                                 batch_loss_and_grads, downsample_image,
+                                 evaluate, fine_tune, forward, forward_batch,
+                                 load_model, loss_l1, model_init, save_model,
+                                 train, backward_batch, plane_factor,
+                                 training_set, _STACK, _area_mean,
+                                 _draw_affine, _prepare_inputs, _warp_stack)
 from flattrack.seeds import mix_seed
 
 SCREEN = CalibratedScreen()
@@ -245,7 +247,7 @@ def test_batched_projection_equals_the_per_sample_loop():
 def warp(img, affine):
     """One image warped by one (rotation_deg, (tx, ty), scale)."""
     out = np.empty((1,) + np.shape(img))
-    _warp_stack([img], [affine], out)
+    _warp_stack(np.asarray(img)[None], [0], [affine], out)
     return out[0]
 
 
@@ -359,28 +361,106 @@ def test_downsample_equals_reshape_mean(fy, fx, exponent, signed, seed):
     assert np.array_equal(downsample_image(x), reshape_mean(x, 32, 32))
 
 
-# Square and non-square 32*k frames, one as wide as the rule allows;
-# 2 stacks and a remainder.
-@pytest.mark.parametrize("shape", [(128, 128), (64, 96), (32, 224)])
+def frames_set(images):
+    """The training set of bare frames, with placeholder labels."""
+    return training_set([SimpleNamespace(image=im, screen_pt=(0.0, 0.0),
+                                         gaze=(0.0, 0.0, 1.0)) for im in images])
+
+
+@pytest.mark.parametrize("shape, r", [((32, 32), 1), ((64, 64), 1), ((96, 96), 1),
+                                      ((128, 128), 2), ((128, 192), 2),
+                                      ((192, 192), 3), ((224, 224), 1)])
+def test_plane_factor(shape, r):
+    assert plane_factor(shape) == r
+    ts = frames_set([np.zeros(shape, dtype=np.float32)])
+    assert ts.r == r and ts.planes.dtype == np.float32
+    assert ts.planes.shape == (1, shape[0] // r, shape[1] // r)
+
+
+def plane_of(image, r):
+    """The frame's r x r area mean, as a float32 plane."""
+    x = np.asarray(image, dtype=float)
+    h, w = x.shape
+    plane = np.empty((h // r, w // r))
+    _area_mean(x, r, r, plane, np.empty((h, w // r)))
+    return plane.astype(np.float32)
+
+
+def plane_reference(image, r, ranges, seed, epoch, i):
+    """Sample i's augmented input composed by hand: its plane warped with
+    the translation divided by r, then averaged down to 32x32."""
+    rot, (tx, ty), scale = _draw_affine(ranges, mix_seed(seed, 0xA46, epoch, i))
+    warped = warp(plane_of(image, r), (rot, (tx / r, ty / r), scale))
+    h, w = warped.shape
+    out = np.empty((32, 32))
+    _area_mean(warped, h // 32, w // 32, out, np.empty((h, 32)))
+    return out.reshape(-1)
+
+
+# Square and non-square 32*k frames, one as wide as the rule allows, and
+# frames that train on planes (r = 2, 3); 2 stacks and a remainder.
+@pytest.mark.parametrize("shape", [(128, 128), (64, 96), (32, 224), (128, 192),
+                                   (192, 192)])
 def test_stacked_augmentation_equals_per_sample(shape, monkeypatch):
     rng = np.random.default_rng(21)
-    samples = [SimpleNamespace(image=rng.random(shape)) for _ in range(2 * _STACK + 3)]
+    images = [rng.random(shape) for _ in range(2 * _STACK + 3)]
     ranges = AffineRanges(rotation_deg=20.0, translate_px=8.0,
                           scale_min=0.8, scale_max=1.2)
     seed, epoch = 5, 3
-    expected = np.stack([
-        downsample_image(warp(s.image, _draw_affine(
-            ranges, mix_seed(seed, 0xA46, epoch, i)))).reshape(-1)
-        for i, s in enumerate(samples)])
+    r = plane_factor(shape)
+    expected = np.stack([plane_reference(im, r, ranges, seed, epoch, i)
+                         for i, im in enumerate(images)])
+    ts = frames_set(images)
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
         for workers in ("1", "2", "4"):
             monkeypatch.setenv("FLATTRACK_THREADS", workers)
-            X = _prepare_inputs(samples, True, ranges, seed, epoch)
+            X = _prepare_inputs(ts, True, ranges, seed, epoch)
             assert np.array_equal(X, expected)
     finally:
         sys.setswitchinterval(interval)
+    # Validation inputs are the area mean of the unwarped plane.
+    assert np.array_equal(_prepare_inputs(ts, False, ranges, seed, epoch), np.stack(
+        [downsample_image(plane_of(im, r)).reshape(-1) for im in images]))
+
+
+# Frames that train on themselves (r = 1): the inputs are the full-frame
+# warp's, which the unblocked formula states, so they did not change when
+# training moved to planes.
+@pytest.mark.parametrize("shape", [(32, 32), (64, 96), (96, 96)])
+def test_prepare_inputs_of_frames_with_r_1_are_the_full_frame_warp(shape):
+    rng = np.random.default_rng(22)
+    images = [rng.random(shape).astype(np.float32) for _ in range(_STACK + 3)]
+    ranges = AffineRanges(rotation_deg=20.0, translate_px=8.0,
+                          scale_min=0.8, scale_max=1.2)
+    seed, epoch = 5, 3
+    ts = frames_set(images)
+    assert ts.r == 1
+    expected = np.stack([downsample_image(unblocked_warp(
+        im.astype(float), *_draw_affine(ranges, mix_seed(seed, 0xA46, epoch, i)))).reshape(-1)
+        for i, im in enumerate(images)])
+    assert np.array_equal(_prepare_inputs(ts, True, ranges, seed, epoch), expected)
+    assert np.array_equal(_prepare_inputs(ts, False, ranges, seed, epoch),
+                          np.stack([downsample_image(im).reshape(-1) for im in images]))
+
+
+def test_train_warps_float32_planes(monkeypatch):
+    import flattrack.regressor as regressor
+    seen = []
+
+    def spy(planes, rows, affines, out, fy=1, fx=1):
+        seen.append((planes.dtype, planes.shape[1:], fy, fx))
+        return warp_stack(planes, rows, affines, out, fy, fx)
+
+    warp_stack = regressor._warp_stack
+    monkeypatch.setattr(regressor, "_warp_stack", spy)
+    params = EyeRenderParams()  # the default 128x128 scenes
+    tr = render_round(GRID_9, SCREEN, params, 0, 0, 1, 11)
+    va = render_round(GRID_9, SCREEN, params, 0, 1, 1, 11)
+    train(model_init(3), training_set(tr), training_set(va),
+          TrainConfig(epochs=1, batch_size=8, seed=7), SCREEN)
+    assert seen and set(seen) == {(np.dtype(np.float32), (64, 64), 2, 2)}
 
 
 def test_training_identical_at_any_thread_count(tmp_path, monkeypatch):
@@ -392,7 +472,7 @@ def test_training_identical_at_any_thread_count(tmp_path, monkeypatch):
     for workers in ("1", "2", "4"):
         monkeypatch.setenv("FLATTRACK_THREADS", workers)
         path = tmp_path / f"model_{workers}.ftkmdl"
-        save_model(train(model_init(3), tr, va, cfg, SCREEN).model, path)
+        save_model(train(model_init(3), training_set(tr), training_set(va), cfg, SCREEN).model, path)
         models.append(path.read_bytes())
     assert models[0] == models[1] == models[2]
     save_model(model_init(3), tmp_path / "init.ftkmdl")
@@ -413,9 +493,8 @@ def test_float32_images_prepare_like_float64(shape):
     ranges = AffineRanges(rotation_deg=20.0, translate_px=8.0,
                           scale_min=0.8, scale_max=1.2)
     for augment in (True, False):
-        x32 = _prepare_inputs([SimpleNamespace(image=im) for im in images],
-                              augment, ranges, 5, 3)
-        x64 = _prepare_inputs([SimpleNamespace(image=im.astype(float)) for im in images],
+        x32 = _prepare_inputs(frames_set(images), augment, ranges, 5, 3)
+        x64 = _prepare_inputs(frames_set([im.astype(float) for im in images]),
                               augment, ranges, 5, 3)
         assert np.array_equal(x32, x64)
 
@@ -423,14 +502,13 @@ def test_float32_images_prepare_like_float64(shape):
 def test_prepare_inputs_checks_the_frame_shape():
     rng = np.random.default_rng(24)
     ranges = AffineRanges()
-    mixed = [SimpleNamespace(image=rng.random(shape))
-             for shape in [(64, 64)] * _STACK + [(96, 96)]]
-    off_rule = [SimpleNamespace(image=rng.random((100, 100))) for _ in range(3)]
+    mixed = [rng.random(shape) for shape in [(64, 64)] * _STACK + [(96, 96)]]
+    off_rule = [rng.random((100, 100)) for _ in range(3)]
     for augment in (True, False):
         with pytest.raises(DataError):
-            _prepare_inputs(mixed, augment, ranges, 5, 3)
+            _prepare_inputs(frames_set(mixed), augment, ranges, 5, 3)
         with pytest.raises(ConfigError):
-            _prepare_inputs(off_rule, augment, ranges, 5, 3)
+            _prepare_inputs(frames_set(off_rule), augment, ranges, 5, 3)
 
 
 def test_float32_images_train_and_evaluate_like_float64(tmp_path, monkeypatch):
@@ -443,7 +521,8 @@ def test_float32_images_train_and_evaluate_like_float64(tmp_path, monkeypatch):
         models = []
         for dtype in (np.float32, np.float64):
             path = tmp_path / f"model_{workers}_{np.dtype(dtype).name}.ftkmdl"
-            save_model(train(model_init(3), as_dtype(tr, dtype), as_dtype(va, dtype),
+            save_model(train(model_init(3), training_set(as_dtype(tr, dtype)),
+                             training_set(as_dtype(va, dtype)),
                              cfg, SCREEN).model, path)
             models.append(path.read_bytes())
         assert models[0] == models[1]
@@ -500,7 +579,7 @@ def test_zero_lr_keeps_weights():
     tr, va = split_tiny()
     m = model_init(10)
     cfg = TrainConfig(epochs=1, lr=0.0, weight_decay=0.0, augment=False, seed=2)
-    res = train(m, tr, va, cfg, SCREEN)
+    res = train(m, training_set(tr), training_set(va), cfg, SCREEN)
     for w0, w1 in zip(m.weights, res.model.weights):
         assert np.array_equal(w0, w1)
 
@@ -512,10 +591,11 @@ def test_reported_loss_matches_independent_recomputation():
     m = model_init(11)
     cfg = TrainConfig(epochs=1, lr=0.0, weight_decay=0.0, augment=False,
                       batch_size=7, seed=3)
-    res = train(m, tr, va, cfg, SCREEN)
+    res = train(m, training_set(tr), training_set(va), cfg, SCREEN)
     manual = []
     for s in tr:
-        v = forward(m, downsample_image(s.image))
+        # Training reads each 32x32 frame as its float32 plane (r = 1).
+        v = forward(m, downsample_image(s.image.astype(np.float32)))
         manual.append(loss_l1(gaze_to_screen(v, SCREEN), s.screen_pt))
     assert res.history[0].train_loss == pytest.approx(np.mean(manual), abs=1e-9)
 
@@ -523,8 +603,8 @@ def test_reported_loss_matches_independent_recomputation():
 def test_training_deterministic():
     tr, va = split_tiny()
     cfg = TrainConfig(epochs=3, seed=4)
-    r1 = train(model_init(12), tr, va, cfg, SCREEN)
-    r2 = train(model_init(12), tr, va, cfg, SCREEN)
+    r1 = train(model_init(12), training_set(tr), training_set(va), cfg, SCREEN)
+    r2 = train(model_init(12), training_set(tr), training_set(va), cfg, SCREEN)
     for w1, w2 in zip(r1.model.weights, r2.model.weights):
         assert np.array_equal(w1, w2)
     assert [h.val_err_deg for h in r1.history] == [h.val_err_deg for h in r2.history]
@@ -534,7 +614,7 @@ def test_single_sample_overfit():
     s = tiny_round()[4]
     cfg = TrainConfig(epochs=500, lr=1e-3, weight_decay=0.0, augment=False,
                       batch_size=1, lr_step_epochs=10**6, seed=5)
-    res = train(model_init(13), [s], [s], cfg, SCREEN)
+    res = train(model_init(13), training_set([s]), training_set([s]), cfg, SCREEN)
     v = forward(res.model, downsample_image(s.image))
     assert loss_l1(gaze_to_screen(v, SCREEN), s.screen_pt) < 1.0
 
@@ -543,7 +623,7 @@ def test_training_improves_over_init():
     tr, va = split_tiny()
     m = model_init(14)
     cfg = TrainConfig(epochs=8, augment=False, seed=6)
-    res = train(m, tr, va, cfg, SCREEN)
+    res = train(m, training_set(tr), training_set(va), cfg, SCREEN)
     first = res.history[0].val_err_deg
     assert res.best_val_err_deg < first
 
@@ -551,17 +631,20 @@ def test_training_improves_over_init():
 def test_empty_sets_rejected():
     tr, va = split_tiny()
     from flattrack.errors import DataError
+    tr, va = training_set(tr), training_set(va)
     with pytest.raises(DataError):
-        train(model_init(1), [], va, TrainConfig(), SCREEN)
+        train(model_init(1), tr.subset([]), va, TrainConfig(), SCREEN)
     with pytest.raises(DataError):
-        train(model_init(1), tr, [], TrainConfig(), SCREEN)
+        train(model_init(1), tr, va.subset([]), TrainConfig(), SCREEN)
+    with pytest.raises(DataError):
+        training_set([])
 
 
 def test_finetune_freezes_first_layer():
     tr, va = split_tiny()
-    base = train(model_init(15), tr, va,
+    base = train(model_init(15), training_set(tr), training_set(va),
                  TrainConfig(epochs=2, augment=False, seed=7), SCREEN)
-    res = fine_tune(base.model, tr, va,
+    res = fine_tune(base.model, training_set(tr), training_set(va),
                     TrainConfig(epochs=3, augment=False, seed=8), SCREEN)
     assert np.array_equal(res.model.weights[0], base.model.weights[0])
     assert np.array_equal(res.model.biases[0], base.model.biases[0])
@@ -581,14 +664,16 @@ def test_backward_stops_at_the_first_trainable_layer():
 
 def test_finetune_never_worse_on_val():
     tr, va = split_tiny()
-    base = train(model_init(16), tr, va,
+    base = train(model_init(16), training_set(tr), training_set(va),
                  TrainConfig(epochs=4, augment=False, seed=9), SCREEN)
-    X_val = np.stack([downsample_image(s.image).reshape(-1) for s in va])
+    # The validation inputs as training reads them: float32 planes (r = 1).
+    X_val = np.stack([downsample_image(s.image.astype(np.float32)).reshape(-1)
+                      for s in va])
     pre_errs = []
     v, _ = forward_batch(base.model, X_val)
     for i, s in enumerate(va):
         pre_errs.append(angular_error(v[i], s.gaze))
-    res = fine_tune(base.model, tr, va,
+    res = fine_tune(base.model, training_set(tr), training_set(va),
                     TrainConfig(epochs=3, augment=False, seed=10), SCREEN)
     assert res.best_val_err_deg <= np.mean(pre_errs) + 1e-12
 
@@ -596,7 +681,7 @@ def test_finetune_never_worse_on_val():
 def test_mask_all_layers_is_noop():
     tr, va = split_tiny()
     m = model_init(17)
-    res = train(m, tr, va, TrainConfig(epochs=2, augment=False, seed=11),
+    res = train(m, training_set(tr), training_set(va), TrainConfig(epochs=2, augment=False, seed=11),
                 SCREEN, trainable=set())
     for w0, w1 in zip(m.weights, res.model.weights):
         assert np.array_equal(w0, w1)
@@ -604,13 +689,20 @@ def test_mask_all_layers_is_noop():
 
 def test_history_csv(tmp_path):
     tr, va = split_tiny()
-    res = train(model_init(18), tr, va,
+    res = train(model_init(18), training_set(tr), training_set(va),
                 TrainConfig(epochs=2, augment=False, seed=12), SCREEN)
     path = tmp_path / "hist.csv"
     res.write_history_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "epoch,train_loss,val_loss,val_err_deg,lr"
+    assert lines[0] == ("epoch,train_loss,val_loss,val_err_deg,lr,"
+                        "skipped_train,skipped_val")
     assert len(lines) == 3
+    # One column per EpochStats field, in order, each row its epoch's values.
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == [fd.name for fd in dataclasses.fields(EpochStats)]
+    for row, stats in zip(rows[1:], res.history):
+        assert row == [repr(v) for v in dataclasses.astuple(stats)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,13 @@ and 4, each command in a fresh interpreter with BLAS pinned to one thread:
   frames, 2 subjects x 3 rounds, 5 epochs, ``eval --psf``).
 
 It prints every artifact whose sha256 differs between the two trees, with a
-diff when both sides are text, and exits 1 on any difference, 0 when every
-artifact is identical. Files named ``latency.csv`` hold timings and are left
-out. Both trees run on the same machine, so no stored hash is needed.
+diff when both sides are text. It also compares the working tree with
+itself, its runs at 2 and 4 workers against its run at 1, so a change whose
+artifacts differ from the revision on purpose still shows that they do not
+depend on the worker count. It exits 1 on any difference of either kind, 0
+when every artifact is identical. Files named ``latency.csv`` hold timings
+and are left out. Both trees run on the same machine, so no stored hash is
+needed.
 """
 
 from __future__ import annotations
@@ -133,11 +137,27 @@ def text_diff(a: str, b: str, name: str) -> list[str]:
                                      n=0, lineterm=""))[2:]
 
 
+def compare(title: str, a: dict, b: dict, names: tuple[str, str]) -> tuple[int, int]:
+    """Print the artifacts of run ``b`` whose sha256 differs from run
+    ``a``'s; (identical, differing) counts."""
+    differ = sorted(k for k in a.keys() | b.keys()
+                    if k not in a or k not in b or a[k][0] != b[k][0])
+    print(f"{title}: {len(a)} artifacts against {len(b)}, {len(differ)} differ")
+    for rel in differ:
+        if rel not in a or rel not in b:
+            print(f"  DIFFERS {rel}: only in {names[1] if rel in b else names[0]}")
+            continue
+        print(f"  DIFFERS {rel}: sha256 {a[rel][0][:16]} -> {b[rel][0][:16]}")
+        for line in text_diff(a[rel][1], b[rel][1], rel)[:20]:
+            print(f"    {line}")
+    return len(a.keys() | b.keys()) - len(differ), len(differ)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--against", required=True, help="git revision to compare with")
     args = ap.parse_args(argv)
-    n_same = n_diff = 0
+    n_same = n_diff = n_self_same = n_self_diff = 0
     with tempfile.TemporaryDirectory(prefix="flattrack-identity-") as tmp:
         export(args.against, os.path.join(tmp, "against"))
         trees = {"against": os.path.join(tmp, "against", "src"),
@@ -145,26 +165,24 @@ def main(argv=None) -> int:
         for src in trees.values():
             check_import(src)
         for name in PIPELINES:
+            tree_runs = {}
             for threads in THREADS:
                 got = {side: run_pipeline(src, name, threads, os.path.join(tmp, side))
                        for side, src in trees.items()}
-                a, b = got["against"], got["tree"]
-                differ = sorted(k for k in a.keys() | b.keys()
-                                if k not in a or k not in b or a[k][0] != b[k][0])
-                n_diff += len(differ)
-                n_same += len(a.keys() | b.keys()) - len(differ)
-                print(f"{name}, FLATTRACK_THREADS={threads}: {len(a)} artifacts "
-                      f"against {len(b)}, {len(differ)} differ")
-                for rel in differ:
-                    if rel not in a or rel not in b:
-                        print(f"  DIFFERS {rel}: only in {'tree' if rel in b else 'against'}")
-                        continue
-                    print(f"  DIFFERS {rel}: sha256 {a[rel][0][:16]} -> {b[rel][0][:16]}")
-                    for line in text_diff(a[rel][1], b[rel][1], rel)[:20]:
-                        print(f"    {line}")
-    print(f"{n_same} identical, {n_diff} differing (timing files excluded: "
-          f"{', '.join(TIMING_FILES)})")
-    return 1 if n_diff else 0
+                tree_runs[threads] = got["tree"]
+                same, diff = compare(f"{name}, FLATTRACK_THREADS={threads}",
+                                     got["against"], got["tree"], ("against", "tree"))
+                n_same, n_diff = n_same + same, n_diff + diff
+            for threads in THREADS[1:]:
+                same, diff = compare(
+                    f"{name}, tree at FLATTRACK_THREADS={threads} against {THREADS[0]}",
+                    tree_runs[THREADS[0]], tree_runs[threads],
+                    (f"{THREADS[0]} workers", f"{threads} workers"))
+                n_self_same, n_self_diff = n_self_same + same, n_self_diff + diff
+    print(f"tree against {args.against}: {n_same} identical, {n_diff} differing; "
+          f"tree across FLATTRACK_THREADS: {n_self_same} identical, "
+          f"{n_self_diff} differing (timing files excluded: {', '.join(TIMING_FILES)})")
+    return 1 if n_diff or n_self_diff else 0
 
 
 if __name__ == "__main__":
