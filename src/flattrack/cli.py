@@ -15,9 +15,11 @@ Exit codes: 0 ok, 2 config error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import fnmatch
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,13 +30,15 @@ from .eyesim import GazeSample, iter_round
 from .geometry import grid_angular_stats, make_grid
 from .manifest import (DatasetManifest, read_manifest, remove_dataset,
                        save_sample, write_rows)
-from .optics import (generate_contour_psf, load_psf, save_psf,
+from .optics import (Psf, generate_contour_psf, load_psf, save_psf,
                      simulate_measurement, spectral_flatness_ratio)
 from .pipeline import (TAG_SIMULATE, aggregate_per_point, load_pool,
                        partition_samples, run_protocol, seed_for_sample,
                        train_protocol)
 from .reconstruct import wiener_deconvolve
-from .regressor import frame_factors, load_model, save_model
+# Regressor functions are looked up on the module when called, so that a
+# wrapper set on flattrack.regressor (perfbench's tracer) sees eval's calls.
+from . import regressor
 from .report import (write_grid_error_svg, write_per_point_csv,
                      read_per_point_csv, write_subject_table_csv)
 from .seeds import mix_seed
@@ -45,20 +49,20 @@ TAG_GENPSF = 0x9F5
 
 def _resolve_config(args, manifest: DatasetManifest | None = None) -> ExperimentConfig:
     """Config precedence: --config file, else input sidecar, else defaults; flags win."""
-    if getattr(args, "config", None):
+    if args.config:
         cfg = ExperimentConfig.load(args.config)
     elif manifest is not None:
         cfg = manifest.config
     else:
         cfg = ExperimentConfig.default()
-    for kv in getattr(args, "set", None) or []:
+    for kv in args.set or []:
         if "=" not in kv:
             raise ConfigError(f"--set expects KEY=VALUE, got {kv!r}")
         key, raw = kv.split("=", 1)
         cfg.set(key.strip(), raw.strip())
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.set("seed", args.seed)
-    if getattr(args, "gamma", None) is not None:
+    if args.gamma is not None:
         cfg.set("recon.gamma", args.gamma)
     return cfg
 
@@ -92,6 +96,28 @@ def _prepare_out_dir(path: str, force: bool, in_dir: str | None = None,
     os.makedirs(path, exist_ok=True)
 
 
+def lensless(cfg: ExperimentConfig, psf: Psf):
+    """The camera of ``cfg`` and ``psf`` as two sample maps, (measure,
+    reconstruct): a scene sample to its measurement, with noise seeded by
+    the sample's id alone, and a measurement sample to its Wiener
+    reconstruction. The noise model and the Wiener settings are built here,
+    so a bad setting raises ConfigError before any sample is read."""
+    noise = cfg.noise_model()
+    wcfg = cfg.wiener_config()
+    master = cfg["seed"]
+
+    def measure(s: GazeSample) -> GazeSample:
+        y = simulate_measurement(s.image, psf, noise,
+                                 seed_for_sample(master, TAG_SIMULATE, s.sample_id))
+        return replace(s, image=y, stage="measurement")
+
+    def reconstruct(s: GazeSample) -> GazeSample:
+        return replace(s, image=wiener_deconvolve(s.image, psf, wcfg),
+                       stage="reconstruction")
+
+    return measure, reconstruct
+
+
 def cmd_gen_psf(args) -> int:
     cfg = _resolve_config(args)
     psf = generate_contour_psf(cfg["optics.psf_h"], cfg["optics.psf_w"],
@@ -110,7 +136,7 @@ def cmd_render_dataset(args) -> int:
     params = cfg.render_params()
     # Checked before --force removes an earlier dataset.
     make_grid(grid, screen.monitor)
-    frame_factors((params.image_h, params.image_w))
+    regressor.frame_factors((params.image_h, params.image_w))
     for key in ("dataset.subjects", "dataset.rounds", "dataset.n_per_point"):
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
@@ -132,61 +158,35 @@ def cmd_render_dataset(args) -> int:
     return 0
 
 
-def _transform_dataset(args, stage_in: str, stage_out: str, make_fn) -> int:
-    """Shared walk for simulate/reconstruct: map each image, keep labels."""
-    m = read_manifest(getattr(args, "in_dir"))
+def _transform_dataset(args, stage_in: str, stage_out: str) -> int:
+    """Shared walk for simulate/reconstruct: take each ``stage_in`` sample
+    one step along the camera (scene -> measurement -> reconstruction)."""
+    m = read_manifest(args.in_dir)
     cfg = _resolve_config(args, m)
     rows = [r for r in m.rows if r.stage == stage_in]
     if not rows:
-        raise DataError(f"no {stage_in!r}-stage rows in {getattr(args, 'in_dir')}")
-    fn = make_fn(m, cfg)  # raises on a bad config before --force removes anything
+        raise DataError(f"no {stage_in!r}-stage rows in {args.in_dir}")
+    # Raises on a bad config before --force removes anything.
+    measure, reconstruct = lensless(cfg, load_psf(args.psf))
+    step = measure if stage_in == "scene" else reconstruct
     _prepare_out_dir(args.out, args.force, m.root)
-
-    def one(row):
-        s = m.load_sample(row)
-        s.image = fn(s)
-        s.stage = stage_out
-        return save_sample(args.out, s)
-
-    out_rows = parallel_map(one, rows)
+    out_rows = parallel_map(
+        lambda row: save_sample(args.out, step(m.load_sample(row))), rows)
     write_rows(args.out, out_rows, cfg)
     print(f"{stage_out}: {len(out_rows)} samples -> {args.out}")
     return 0
 
 
 def cmd_simulate(args) -> int:
-    psf = load_psf(args.psf)
-
-    def make_fn(m, cfg):
-        noise = cfg.noise_model()
-        master = cfg["seed"]
-
-        def fn(s):
-            return simulate_measurement(
-                s.image, psf, noise,
-                seed_for_sample(master, TAG_SIMULATE, s.sample_id))
-
-        return fn
-
-    return _transform_dataset(args, "scene", "measurement", make_fn)
+    return _transform_dataset(args, "scene", "measurement")
 
 
 def cmd_reconstruct(args) -> int:
-    psf = load_psf(args.psf)
-
-    def make_fn(m, cfg):
-        wcfg = cfg.wiener_config()
-
-        def fn(s):
-            return wiener_deconvolve(s.image, psf, wcfg)
-
-        return fn
-
-    return _transform_dataset(args, "measurement", "reconstruction", make_fn)
+    return _transform_dataset(args, "measurement", "reconstruction")
 
 
 def cmd_train(args) -> int:
-    m = read_manifest(getattr(args, "in_dir"))
+    m = read_manifest(args.in_dir)
     cfg = _resolve_config(args, m)
     # Checked before --force removes the earlier models.
     cfg.train_config()
@@ -197,10 +197,10 @@ def cmd_train(args) -> int:
     pool = load_pool(split, m.load_sample)
     _prepare_out_dir(args.out, args.force, m.root, _remove_training_outputs)
     result = train_protocol(split, pool, cfg)
-    save_model(result.base.model, os.path.join(args.out, "model_base.ftkmdl"))
+    regressor.save_model(result.base.model, os.path.join(args.out, "model_base.ftkmdl"))
     result.base.write_history_csv(os.path.join(args.out, "history_base.csv"))
     for sid, tr in sorted(result.per_subject.items()):
-        save_model(tr.model, os.path.join(args.out, f"model_s{sid:02d}.ftkmdl"))
+        regressor.save_model(tr.model, os.path.join(args.out, f"model_s{sid:02d}.ftkmdl"))
         tr.write_history_csv(os.path.join(args.out, f"history_s{sid:02d}.csv"))
     _write_split_audit(result.split, os.path.join(args.out, "splits.csv"))
     cfg.save(os.path.join(args.out, "config.cfg"))
@@ -209,7 +209,6 @@ def cmd_train(args) -> int:
 
 
 def _write_split_audit(split, path) -> None:
-    import csv
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["sample_id", "role"])
@@ -223,23 +222,22 @@ def _write_split_audit(split, path) -> None:
 
 
 def cmd_eval(args) -> int:
-    m = read_manifest(getattr(args, "in_dir"))
+    m = read_manifest(args.in_dir)
     cfg = _resolve_config(args, m)
     _prepare_out_dir(args.out, args.force, m.root)
     split = partition_samples(m.rows, cfg)
     screen = cfg.screen()
-    from .regressor import evaluate as eval_model
     subject_rows = []
     reports = {}
     for sid in sorted(split.heldout):
         model_path = os.path.join(args.models, f"model_s{sid:02d}.ftkmdl")
         if not os.path.isfile(model_path):
             raise DataError(f"missing model for subject {sid}: {model_path}")
-        model = load_model(model_path)
+        model = regressor.load_model(model_path)
         heldout = m.load_samples(split.heldout[sid])
         if not reports:
             timed = model, heldout[0]
-        rep = eval_model(model, heldout, screen)
+        rep = regressor.evaluate(model, heldout, screen)
         reports[sid] = rep
         subject_rows.append({
             "subject": sid,
@@ -266,12 +264,11 @@ def _write_eval_latency(model, sample, cfg, args) -> None:
     """latency.csv: the first subject's first held-out frame through
     reconstruct (with --psf), downsample and regress, 100 timed frames
     after 10 warm-up frames."""
-    from .regressor import downsample_image, forward
     # A float64 frame, as reconstruction gives it to the live loop.
     frame = np.asarray(sample.image, dtype=float)
-    stages = [("downsample", downsample_image),
-              ("regress", lambda x: forward(model, x))]
-    if getattr(args, "psf", None):
+    stages = [("downsample", regressor.downsample_image),
+              ("regress", lambda x: regressor.forward(model, x))]
+    if args.psf:
         psf = load_psf(args.psf)
         wcfg = cfg.wiener_config(output_h=frame.shape[0], output_w=frame.shape[1])
         frame = simulate_measurement(sample.image, psf, cfg.noise_model(), cfg["seed"])
@@ -290,37 +287,25 @@ def cmd_grid_stats(args) -> int:
 
 
 def cmd_grid_report(args) -> int:
-    per_point = read_per_point_csv(getattr(args, "in_path"))
+    per_point = read_per_point_csv(args.in_path)
     write_grid_error_svg(per_point, args.out)
     print(f"grid report: {len(per_point)} points -> {args.out}")
     return 0
 
 
 def cmd_compare_lensed(args) -> int:
-    m = read_manifest(getattr(args, "in_dir"))
+    m = read_manifest(args.in_dir)
     cfg = _resolve_config(args, m)
     psf = load_psf(args.psf)
     scene_rows = [r for r in m.rows if r.stage == "scene"]
     if not scene_rows:
         raise DataError("compare-lensed needs a scene-stage manifest")
+    measure, reconstruct = lensless(cfg, psf)
     scenes = m.load_samples(scene_rows)
-    noise = cfg.noise_model()
-    master = cfg["seed"]
-    wcfg = cfg.wiener_config()
-
-    def to_lensless(s):
-        y = simulate_measurement(s.image, psf, noise,
-                                 seed_for_sample(master, TAG_SIMULATE, s.sample_id))
-        x_hat = wiener_deconvolve(y, psf, wcfg)
-        return GazeSample(image=x_hat, gaze=s.gaze, screen_pt=s.screen_pt,
-                          subject_id=s.subject_id, round_id=s.round_id,
-                          grid_i=s.grid_i, grid_j=s.grid_j,
-                          stage="reconstruction", sample_id=s.sample_id)
-
-    lensless = parallel_map(to_lensless, scenes)
+    recons = parallel_map(lambda s: reconstruct(measure(s)), scenes)
     # Identical seeds in both arms: only the image pathway differs.
     res_lensed = run_protocol(scenes, cfg)
-    res_lensless = run_protocol(lensless, cfg)
+    res_lensless = run_protocol(recons, cfg)
     rows = []
     for sid in sorted(res_lensed.reports):
         rows.append({
@@ -340,7 +325,7 @@ def cmd_compare_lensed(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _resolve_config(args)
-    model = load_model(args.model)
+    model = regressor.load_model(args.model)
     psf = load_psf(args.psf)
     result = run_pipeline_bench(model, psf, cfg)
     result.write_csv(args.out)
@@ -351,14 +336,48 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="experiment config file (key = value)")
-    p.add_argument("--seed", type=int, help="override the master seed")
-    p.add_argument("--gamma", type=float, help="override recon.gamma")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                   help="override any config key (repeatable)")
-    p.add_argument("--force", action="store_true",
-                   help="overwrite non-empty output directories")
+def _arg(*flags: str, **kwargs):
+    return flags, kwargs
+
+
+_IN = _arg("--in", dest="in_dir", required=True)
+_PSF = _arg("--psf", required=True)
+_OUT = _arg("--out", required=True)
+
+# name, handler, help, the command's own arguments
+COMMANDS = [
+    ("gen-psf", cmd_gen_psf, "generate the synthetic contour PSF", [_OUT]),
+    ("render-dataset", cmd_render_dataset, "render scene-stage eye images", [_OUT]),
+    ("simulate", cmd_simulate, "apply the lensless forward model", [_IN, _PSF, _OUT]),
+    ("reconstruct", cmd_reconstruct, "deconvolve measurements back to scenes",
+     [_IN, _PSF, _OUT]),
+    ("train", cmd_train, "pretrain + per-subject fine-tune", [_IN, _OUT]),
+    ("eval", cmd_eval, "evaluate per-subject held-out rounds",
+     [_IN, _arg("--models", required=True), _OUT,
+      _arg("--psf", help="also time the reconstruction stage")]),
+    ("grid-stats", cmd_grid_stats, "angular layout of the stimulus grid", [_OUT]),
+    ("grid-report", cmd_grid_report, "per-grid-point error map (SVG)",
+     [_arg("--in", dest="in_path", required=True, help="per-point CSV from eval"),
+      _OUT]),
+    ("compare-lensed", cmd_compare_lensed,
+     "train twice: clean scenes vs simulated+reconstructed",
+     [_arg("--in", dest="in_dir", required=True, help="scene-stage dataset dir"),
+      _PSF, _arg("--out", required=True, help="report CSV path")]),
+    ("bench", cmd_bench, "single-frame latency over warm frames",
+     [_arg("--model", required=True), _PSF,
+      _arg("--out", required=True, help="latency CSV path")]),
+]
+
+# Every command takes these after its own arguments.
+COMMON = [
+    _arg("--config", help="experiment config file (key = value)"),
+    _arg("--seed", type=int, help="override the master seed"),
+    _arg("--gamma", type=float, help="override recon.gamma"),
+    _arg("--set", action="append", metavar="KEY=VALUE",
+         help="override any config key (repeatable)"),
+    _arg("--force", action="store_true",
+         help="overwrite non-empty output directories"),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,73 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
                                  description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-psf", help="generate the synthetic contour PSF")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_gen_psf)
-
-    p = sub.add_parser("render-dataset", help="render scene-stage eye images")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_render_dataset)
-
-    p = sub.add_parser("simulate", help="apply the lensless forward model")
-    p.add_argument("--in", dest="in_dir", required=True)
-    p.add_argument("--psf", required=True)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("reconstruct", help="deconvolve measurements back to scenes")
-    p.add_argument("--in", dest="in_dir", required=True)
-    p.add_argument("--psf", required=True)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_reconstruct)
-
-    p = sub.add_parser("train", help="pretrain + per-subject fine-tune")
-    p.add_argument("--in", dest="in_dir", required=True)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate per-subject held-out rounds")
-    p.add_argument("--in", dest="in_dir", required=True)
-    p.add_argument("--models", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--psf", help="also time the reconstruction stage")
-    _add_common(p)
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("grid-stats", help="angular layout of the stimulus grid")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_grid_stats)
-
-    p = sub.add_parser("grid-report", help="per-grid-point error map (SVG)")
-    p.add_argument("--in", dest="in_path", required=True,
-                   help="per-point CSV from eval")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_grid_report)
-
-    p = sub.add_parser("compare-lensed",
-                       help="train twice: clean scenes vs simulated+reconstructed")
-    p.add_argument("--in", dest="in_dir", required=True,
-                   help="scene-stage dataset dir")
-    p.add_argument("--psf", required=True)
-    p.add_argument("--out", required=True, help="report CSV path")
-    _add_common(p)
-    p.set_defaults(fn=cmd_compare_lensed)
-
-    p = sub.add_parser("bench", help="single-frame latency over warm frames")
-    p.add_argument("--model", required=True)
-    p.add_argument("--psf", required=True)
-    p.add_argument("--out", required=True, help="latency CSV path")
-    _add_common(p)
-    p.set_defaults(fn=cmd_bench)
-
+    for name, handler, help_text, own in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in own + COMMON:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(fn=handler)
     return ap
 
 

@@ -111,7 +111,11 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
+        """The defaults, overridden by each key the file sets. A key set twice
+        raises ConfigError naming both lines, so that no line of a file
+        silently overrides another."""
         cfg = cls.default()
+        first_line: dict[str, int] = {}
         with open(path) as f:
             for lineno, line in enumerate(f, 1):
                 text = line.split("#", 1)[0].strip()
@@ -122,6 +126,10 @@ class ExperimentConfig:
                 key, raw = (t.strip() for t in text.split("=", 1))
                 if key not in SCHEMA:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                if key in first_line:
+                    raise ConfigError(f"{path}:{lineno}: key {key!r} is already "
+                                      f"set on line {first_line[key]}")
+                first_line[key] = lineno
                 cfg.values[key] = _parse_value(key, raw, SCHEMA[key][0])
         return cfg
 

@@ -26,8 +26,6 @@ from .errors import ConfigError, UnprojectableGazeError
 # screen and has no pixel image.
 MIN_PROJECTABLE_Z = 1e-6
 
-FORWARD = np.array([0.0, 0.0, 1.0])
-
 
 @dataclass(frozen=True)
 class MonitorSpec:
@@ -60,10 +58,6 @@ class CalibratedScreen:
             raise ConfigError("calibration x outside monitor")
         if not (0 <= self.calib_y_px <= self.monitor.height_px):
             raise ConfigError("calibration y outside monitor")
-
-    @property
-    def calib_px(self) -> np.ndarray:
-        return np.array([self.calib_x_px, self.calib_y_px])
 
 
 @dataclass(frozen=True)
@@ -177,14 +171,12 @@ class GridAngularStats:
     """Angular layout of a stimulus grid as seen from the eye.
 
     dtheta_x_deg[i, j] is the angle between grid points (i, j) and (i, j+1);
-    NaN in the last column. dtheta_y_deg likewise along rows. ecc_deg[i, j]
-    is each point's angle from the head-on axis.
+    NaN in the last column. dtheta_y_deg likewise along rows.
     """
 
     grid: GridSpec
     dtheta_x_deg: np.ndarray
     dtheta_y_deg: np.ndarray
-    ecc_deg: np.ndarray
     points: list[np.ndarray]
 
     @property
@@ -208,28 +200,15 @@ class GridAngularStats:
 
 
 def grid_angular_stats(g: GridSpec, s: CalibratedScreen) -> GridAngularStats:
-    """Adjacent-pair gaze angles along each axis plus per-point eccentricity."""
+    """Adjacent-pair gaze angles along each axis."""
     pts = make_grid(g)
     vecs = np.array([screen_to_gaze(p, s) for p in pts]).reshape(g.rows, g.cols, 3)
     dx = np.full((g.rows, g.cols), np.nan)
     dy = np.full((g.rows, g.cols), np.nan)
-    ecc = np.zeros((g.rows, g.cols))
     for i in range(g.rows):
         for j in range(g.cols):
-            ecc[i, j] = angular_error(vecs[i, j], FORWARD)
             if j + 1 < g.cols:
                 dx[i, j] = angular_error(vecs[i, j], vecs[i, j + 1])
             if i + 1 < g.rows:
                 dy[i, j] = angular_error(vecs[i, j], vecs[i + 1, j])
-    return GridAngularStats(grid=g, dtheta_x_deg=dx, dtheta_y_deg=dy,
-                            ecc_deg=ecc, points=pts)
-
-
-def fov(extent_px: float, axis: str, s: CalibratedScreen) -> float:
-    """Angle in degrees subtended at the eye by a pixel extent centered on calib_px."""
-    if extent_px < 0:
-        raise ConfigError("extent must be nonnegative")
-    if axis not in ("x", "y"):
-        raise ConfigError(f"axis must be 'x' or 'y', got {axis!r}")
-    half_mm = extent_px * s.monitor.pixel_pitch_mm / 2.0
-    return 2.0 * math.degrees(math.atan(half_mm / s.monitor.distance_mm))
+    return GridAngularStats(grid=g, dtheta_x_deg=dx, dtheta_y_deg=dy, points=pts)

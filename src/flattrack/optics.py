@@ -95,12 +95,6 @@ class Psf:
     def shape(self) -> tuple[int, int]:
         return self.data.shape
 
-    def normalize(self) -> "Psf":
-        s = float(self.data.sum())
-        if s <= 0:
-            raise NumericalError("cannot normalize an all-zero psf")
-        return Psf(self.data / s)
-
     def _memo(self, key, compute):
         """``compute()`` on the first call for ``key``, the stored value after.
 
@@ -187,18 +181,6 @@ def full_convolve(x, p: Psf | np.ndarray) -> np.ndarray:
     grid, fp = _padded_spectrum(p, out_h, out_w)
     return _filter_padded(xa, grid, lambda fx: np.multiply(fx, fp, out=fx),
                           out_h, out_w)
-
-
-def convolve_direct(x, p: Psf | np.ndarray) -> np.ndarray:
-    """Reference double-sum linear convolution (independent of the FFT path)."""
-    xa = _check_image(x, "scene")
-    pa = p.data if isinstance(p, Psf) else _check_image(p, "psf")
-    out_h, out_w = _full_shape(xa, pa)
-    out = np.zeros((out_h, out_w))
-    for i in range(pa.shape[0]):
-        for j in range(pa.shape[1]):
-            out[i:i + xa.shape[0], j:j + xa.shape[1]] += pa[i, j] * xa
-    return out
 
 
 def simulate_measurement(x, p: Psf, noise: NoiseModel, seed: int) -> np.ndarray:

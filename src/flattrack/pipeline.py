@@ -141,16 +141,13 @@ def train_protocol(split: ProtocolSplit, pool: TrainingSet,
     return ProtocolResult(base=base, per_subject=per_subject, split=split)
 
 
-def run_protocol(samples: list[GazeSample], config: ExperimentConfig,
-                 evaluate_heldout: bool = True) -> ProtocolResult:
+def run_protocol(samples: list[GazeSample], config: ExperimentConfig) -> ProtocolResult:
     """Pretrain across subjects, fine-tune per subject, evaluate held-out rounds."""
     split = partition_samples(samples, config)
     result = train_protocol(split, load_pool(split), config)
-    if evaluate_heldout:
-        screen = config.screen()
-        for sid, heldout in sorted(result.split.heldout.items()):
-            result.reports[sid] = evaluate(result.per_subject[sid].model, heldout,
-                                           screen)
+    screen = config.screen()
+    for sid, heldout in sorted(result.split.heldout.items()):
+        result.reports[sid] = evaluate(result.per_subject[sid].model, heldout, screen)
     return result
 
 

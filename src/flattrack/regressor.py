@@ -203,13 +203,6 @@ def backward_batch(m: RegressorModel, cache, dV: np.ndarray, first: int = 0):
     return grads_w, grads_b
 
 
-def loss_l1(pred_pt, gt_pt) -> float:
-    """Screen-space L1: |dx| + |dy| in pixels."""
-    p = np.asarray(pred_pt, dtype=float)
-    g = np.asarray(gt_pt, dtype=float)
-    return float(np.abs(p - g).sum())
-
-
 def _screen_l1(v: np.ndarray, gt_pts, screen: CalibratedScreen):
     """Screen-space L1 of the projectable rows of ``v`` (N, 3).
 
@@ -252,14 +245,6 @@ def batch_loss_and_grads(m: RegressorModel, X: np.ndarray, gt_pts: np.ndarray,
     dV /= n_used
     grads_w, grads_b = backward_batch(m, cache, dV, first)
     return _mean_in_order(losses), grads_w, grads_b, n_used, n - n_used
-
-
-def batch_loss(m: RegressorModel, X: np.ndarray, gt_pts: np.ndarray,
-               screen: CalibratedScreen) -> float:
-    """Loss only (used by finite-difference checks); same skip rule."""
-    v, _ = forward_batch(m, X)
-    _, losses, _ = _screen_l1(v, gt_pts, screen)
-    return _mean_in_order(losses) if len(losses) else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -16,23 +16,19 @@ import time
 import numpy as np
 import pytest
 
-from flattrack.cli import TAG_GENPSF, main as cli_main
+from flattrack.cli import TAG_GENPSF, lensless, main as cli_main
 from flattrack.config import ExperimentConfig
-from flattrack.eyesim import GazeSample, render_round
-from flattrack.geometry import (CalibratedScreen, GridSpec, fov,
-                                gaze_to_screen, grid_angular_stats,
-                                screen_to_gaze)
-from flattrack.optics import (NoiseModel, Psf, convolve_direct, full_convolve,
-                              generate_contour_psf, simulate_measurement)
-from flattrack.pipeline import (TAG_SIMULATE, aggregate_per_point,
-                                run_protocol, seed_for_sample)
-from flattrack.reconstruct import (WienerConfig, _wiener_padded,
-                                   gradient_descent_tikhonov,
-                                   tikhonov_objective, wiener_deconvolve)
-from flattrack.regressor import (ARCH, TrainConfig, batch_loss,
-                                 batch_loss_and_grads, downsample_image,
+from flattrack.eyesim import render_round
+from flattrack.geometry import (CalibratedScreen, GridSpec, gaze_to_screen,
+                                grid_angular_stats, screen_to_gaze)
+from flattrack.optics import Psf, full_convolve, generate_contour_psf
+from flattrack.pipeline import aggregate_per_point, run_protocol
+from flattrack.reconstruct import WienerConfig, wiener_deconvolve
+from flattrack.regressor import (batch_loss_and_grads, downsample_image,
                                  evaluate, model_init)
 from flattrack.seeds import mix_seed
+from oracles import (_wiener_padded, batch_loss, convolve_direct, fov,
+                     gradient_descent_tikhonov, tikhonov_objective)
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -78,25 +74,13 @@ def scenes(acceptance_config):
     return out
 
 
-def _to_reconstruction(s: GazeSample, psf: Psf, noise: NoiseModel,
-                       master: int, wcfg: WienerConfig) -> GazeSample:
-    y = simulate_measurement(s.image, psf, noise,
-                             seed_for_sample(master, TAG_SIMULATE, s.sample_id))
-    return GazeSample(image=wiener_deconvolve(y, psf, wcfg), gaze=s.gaze,
-                      screen_pt=s.screen_pt, subject_id=s.subject_id,
-                      round_id=s.round_id, grid_i=s.grid_i, grid_j=s.grid_j,
-                      stage="reconstruction", sample_id=s.sample_id)
-
-
 @pytest.fixture(scope="session")
 def e2e(acceptance_config, contour_psf, scenes):
     """Criterion-6 pipeline: simulate (noisy), reconstruct, pretrain + fine-tune."""
     cfg = acceptance_config
-    noise = cfg.noise_model()
-    wcfg = cfg.wiener_config()
+    measure, reconstruct = lensless(cfg, contour_psf)
     t0 = time.time()
-    recons = [_to_reconstruction(s, contour_psf, noise, cfg["seed"], wcfg)
-              for s in scenes]
+    recons = [reconstruct(measure(s)) for s in scenes]
     t_recon = time.time() - t0
     t0 = time.time()
     result = run_protocol(recons, cfg)
@@ -266,13 +250,13 @@ def test_criterion_06_end_to_end_learning(e2e):
 def test_criterion_07_lensed_vs_lensless_gap(acceptance_config, contour_psf,
                                              scenes):
     cfg = acceptance_config
-    wcfg = cfg.wiener_config()
-    noiseless = NoiseModel("none", 0.0)
+    noise_off = ExperimentConfig(dict(cfg.values))
+    noise_off.set("optics.noise_sigma_rel", 0.0)
+    measure, reconstruct = lensless(noise_off, contour_psf)
     t0 = time.time()
-    lensless = [_to_reconstruction(s, contour_psf, noiseless, cfg["seed"], wcfg)
-                for s in scenes]
+    recons = [reconstruct(measure(s)) for s in scenes]
     res_lensed = run_protocol(scenes, cfg)
-    res_lensless = run_protocol(lensless, cfg)
+    res_lensless = run_protocol(recons, cfg)
     details = []
     ok = True
     for sid in sorted(res_lensed.reports):

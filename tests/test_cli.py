@@ -8,11 +8,12 @@ import sys
 import numpy as np
 import pytest
 
-from flattrack.cli import main
+from flattrack.cli import lensless, main
 from flattrack.config import ExperimentConfig
+from flattrack.errors import ConfigError
 from flattrack.manifest import read_manifest
 from flattrack.optics import load_image, load_psf, save_image
-from flattrack.reconstruct import psnr
+from oracles import psnr
 
 
 @pytest.fixture(scope="module")
@@ -444,6 +445,23 @@ def test_grid_stats_cmd(tmp_path, small_cfg_file):
     assert len(lines) == 1 + 9
 
 
+def test_config_key_set_twice_exit_code(tmp_path, small_cfg_file, capsys):
+    path = tmp_path / "twice.cfg"
+    path.write_text(open(small_cfg_file).read() + "seed = 2\n")
+    out = tmp_path / "grid.csv"
+    assert run(["grid-stats", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'seed'" in err and "line 1" in err
+    assert not out.exists()
+
+
+def test_repeated_set_flags_override_in_order(tmp_path, small_cfg_file):
+    out = tmp_path / "grid.csv"
+    assert run(["grid-stats", "--config", small_cfg_file, "--set", "grid.rows=5",
+                "--set", "grid.rows=4", "--out", str(out)]) == 0
+    assert len(out.read_text().strip().splitlines()) == 1 + 4 * 3
+
+
 def test_bench_cmd(tmp_path, small_cfg_file, pipeline_dirs):
     out = str(tmp_path / "bench.csv")
     assert run(["bench", "--model",
@@ -465,6 +483,53 @@ def test_bench_rejects_negative_warmup(tmp_path, small_cfg_file, pipeline_dirs):
                 "--psf", pipeline_dirs["psf"], "--config", small_cfg_file,
                 "--set", "bench.warmup=-1", "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["optics.noise_sigma_rel", "recon.gamma"])
+def test_lensless_rejects_a_bad_setting_when_built(pipeline_dirs, key):
+    cfg = read_manifest(pipeline_dirs["scenes"]).config
+    cfg.set(key, -1.0)
+    # Raised by building the camera, before it is given any sample.
+    with pytest.raises(ConfigError):
+        lensless(cfg, load_psf(pipeline_dirs["psf"]))
+
+
+def test_lensless_is_the_camera_of_simulate_and_reconstruct(pipeline_dirs):
+    scenes = read_manifest(pipeline_dirs["scenes"])
+    meas = read_manifest(pipeline_dirs["meas"])
+    recon = read_manifest(pipeline_dirs["recon"])
+    # The commands ran without --config, so they used the scenes' config.
+    measure, reconstruct = lensless(scenes.config, load_psf(pipeline_dirs["psf"]))
+    written = {r.sample_id: load_image(os.path.join(meas.root, r.image_path))
+               for r in meas.rows}
+    for row in scenes.rows:
+        s = scenes.load_sample(row)
+        y = measure(s)
+        assert y.stage == "measurement" and s.stage == "scene"
+        assert (y.sample_id, y.subject_id, y.round_id, y.grid_i, y.grid_j) == (
+            s.sample_id, s.subject_id, s.round_id, s.grid_i, s.grid_j)
+        assert np.array_equal(y.gaze, s.gaze) and np.array_equal(y.screen_pt, s.screen_pt)
+        assert np.array_equal(y.image.astype(np.float32), written[row.sample_id])
+    written = {r.sample_id: load_image(os.path.join(recon.root, r.image_path))
+               for r in recon.rows}
+    for row in meas.rows:
+        x = reconstruct(meas.load_sample(row))
+        assert x.stage == "reconstruction"
+        assert np.array_equal(x.image.astype(np.float32), written[row.sample_id])
+
+
+def test_lensless_measurement_depends_on_the_sample_alone(pipeline_dirs):
+    scenes = read_manifest(pipeline_dirs["scenes"])
+    assert scenes.config["optics.noise_sigma_rel"] > 0  # the draws are checked
+    measure, _ = lensless(scenes.config, load_psf(pipeline_dirs["psf"]))
+    samples = scenes.load_samples(scenes.rows)
+    forward = {s.sample_id: measure(s).image for s in samples}
+    backward = {s.sample_id: measure(s).image for s in reversed(samples)}
+    alone = {s.sample_id: measure(s).image for s in samples[::5]}
+    for sid, y in forward.items():
+        assert np.array_equal(y, backward[sid])
+    for sid, y in alone.items():
+        assert np.array_equal(y, forward[sid])
 
 
 def test_compare_lensed_schema(tmp_path, small_cfg_file, pipeline_dirs):

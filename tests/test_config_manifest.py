@@ -111,6 +111,17 @@ def test_config_rejects_bad_values(tmp_path):
     assert cfg.values == ExperimentConfig.default().values
 
 
+def test_config_rejects_a_key_set_twice(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("seed = 1\n# comment\ntrain.lr = 2e-3\nseed = 2\n")
+    with pytest.raises(ConfigError, match=r"exp\.cfg:4: key 'seed' .* line 1"):
+        ExperimentConfig.load(path)
+    # The same value twice is still a second setting of the key.
+    path.write_text("grid.rows = 3\ngrid.rows = 3\n")
+    with pytest.raises(ConfigError, match="grid.rows"):
+        ExperimentConfig.load(path)
+
+
 def test_config_builders_cover_schema():
     cfg = ExperimentConfig.default()
     # Given only the fields a builder fills itself, each stage dataclass's

@@ -5,9 +5,10 @@ import pytest
 
 from flattrack.errors import ConfigError, UnprojectableGazeError
 from flattrack.geometry import (CalibratedScreen, GridSpec, MonitorSpec,
-                                angular_error, fov, gaze_to_screen,
+                                angular_error, gaze_to_screen,
                                 gaze_to_screen_jacobian, grid_angular_stats,
                                 make_grid, screen_to_gaze)
+from oracles import fov
 
 SCREEN = CalibratedScreen()
 

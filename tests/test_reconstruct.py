@@ -6,9 +6,9 @@ from flattrack.optics import (ContourPsfParams, NoiseModel, Psf,
                               fft_conv_shape, full_convolve,
                               generate_contour_psf, simulate_measurement)
 from flattrack.workers import parallel_map
-from flattrack.reconstruct import (WienerConfig, _wiener_padded,
-                                   gradient_descent_tikhonov, psnr,
-                                   tikhonov_objective, wiener_deconvolve)
+from flattrack.reconstruct import WienerConfig, wiener_deconvolve
+from oracles import (_wiener_padded, gradient_descent_tikhonov, psnr,
+                     tikhonov_objective)
 
 
 def spiked_band_psf(alpha: float = 2.0) -> Psf:

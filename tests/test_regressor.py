@@ -13,16 +13,17 @@ from flattrack.errors import ConfigError, DataError, FormatError, NumericalError
 from flattrack.eyesim import EyeRenderParams, GazeSample, render_round
 from flattrack.geometry import (CalibratedScreen, GridSpec, angular_error,
                                 gaze_to_screen, gaze_to_screen_jacobian,
-                                grid_angular_stats, screen_to_gaze)
+                                make_grid, screen_to_gaze)
 from flattrack.regressor import (ARCH, AdamState, AffineRanges, EpochStats,
-                                 RegressorModel, TrainConfig, batch_loss,
+                                 RegressorModel, TrainConfig,
                                  batch_loss_and_grads, downsample_image,
                                  evaluate, fine_tune, forward, forward_batch,
-                                 load_model, loss_l1, model_init, save_model,
+                                 load_model, model_init, save_model,
                                  train, backward_batch, plane_factor,
                                  training_set, _STACK, _area_mean,
                                  _draw_affine, _prepare_inputs, _warp_stack)
 from flattrack.seeds import mix_seed
+from oracles import batch_loss, loss_l1
 
 SCREEN = CalibratedScreen()
 GRID_9 = GridSpec(rows=3, cols=3, spacing_x_px=300, spacing_y_px=200,
@@ -727,7 +728,9 @@ def test_evaluate_constant_predictor_matches_grid_eccentricity():
         m.biases[k][:] = 0.0  # constant (0,0,1) via the zero-vector fallback
     samples = tiny_round()
     rep = evaluate(m, samples, SCREEN)
-    ecc = grid_angular_stats(GRID_9, SCREEN).ecc_deg
+    # Each point's eccentricity: its angle from the head-on axis (0, 0, 1).
+    ecc = np.array([angular_error(screen_to_gaze(p, SCREEN), [0.0, 0.0, 1.0])
+                    for p in make_grid(GRID_9)])
     assert rep.mean_err_deg == pytest.approx(float(ecc.mean()), abs=1e-9)
 
 

@@ -11,6 +11,9 @@ and 4, each command in a fresh interpreter with BLAS pinned to one thread:
 - a chain the size of the benchmark's cli-chain (6x6 grid, 128x128
   frames, 2 subjects x 3 rounds, 5 epochs, ``eval --psf``).
 
+Each pipeline ends with ``compare-lensed`` on its scenes, which trains on
+the clean scenes and on their simulated reconstructions.
+
 It prints every artifact whose sha256 differs between the two trees, with a
 diff when both sides are text. It also compares the working tree with
 itself, its runs at 2 and 4 workers against its run at 1, so a change whose
@@ -73,6 +76,8 @@ def steps(cfg: str, out: str, eval_psf: bool) -> list[list[str]]:
         + (["--psf", psf] if eval_psf else []),
         ["grid-report", "--in", os.path.join(d["eval"], "per_point.csv"),
          "--out", os.path.join(d["eval"], "map.svg")],
+        ["compare-lensed", "--in", d["scenes"], "--psf", psf,
+         "--out", os.path.join(out, "compare_lensed.csv")],
     ]
 
 
