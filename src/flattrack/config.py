@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import get_type_hints
 
-from .errors import ConfigError
+from .errors import ConfigError, read_lines
 from .eyesim import EyeRenderParams
 from .geometry import CalibratedScreen, GridSpec, MonitorSpec
 from .optics import ContourPsfParams, NoiseModel
@@ -116,21 +116,20 @@ class ExperimentConfig:
         silently overrides another."""
         cfg = cls.default()
         first_line: dict[str, int] = {}
-        with open(path) as f:
-            for lineno, line in enumerate(f, 1):
-                text = line.split("#", 1)[0].strip()
-                if not text:
-                    continue
-                if "=" not in text:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                key, raw = (t.strip() for t in text.split("=", 1))
-                if key not in SCHEMA:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                if key in first_line:
-                    raise ConfigError(f"{path}:{lineno}: key {key!r} is already "
-                                      f"set on line {first_line[key]}")
-                first_line[key] = lineno
-                cfg.values[key] = _parse_value(key, raw, SCHEMA[key][0])
+        for lineno, line in enumerate(read_lines(path, ConfigError), 1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            if "=" not in text:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            key, raw = (t.strip() for t in text.split("=", 1))
+            if key not in SCHEMA:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in first_line:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} is already "
+                                  f"set on line {first_line[key]}")
+            first_line[key] = lineno
+            cfg.values[key] = _parse_value(key, raw, SCHEMA[key][0])
         return cfg
 
     def save(self, path) -> None:
@@ -146,9 +145,8 @@ class ExperimentConfig:
     # ---- typed builders ----------------------------------------------------
 
     def _build(self, cls, prefix: str, **given):
-        """``cls`` from the keys ``<prefix><field>``; a given non-None value
-        replaces the key."""
-        given = {k: v for k, v in given.items() if v is not None}
+        """``cls`` from the keys ``<prefix><field>``; a given value replaces
+        the key."""
         return cls(**{f.name: self[prefix + f.name]
                       for f in fields(cls) if f.name not in given}, **given)
 
@@ -169,10 +167,9 @@ class ExperimentConfig:
         return self._build(NoiseModel, "optics.noise_")
 
     def wiener_config(self, output_h: int | None = None,
-                      output_w: int | None = None,
-                      gamma: float | None = None) -> WienerConfig:
+                      output_w: int | None = None) -> WienerConfig:
         return self._build(
-            WienerConfig, "recon.", gamma=gamma,
+            WienerConfig, "recon.",
             output_h=self["render.image_h"] if output_h is None else output_h,
             output_w=self["render.image_w"] if output_w is None else output_w)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import DataError
+from .errors import DataError, read_lines
 from .eyesim import GazeSample
 from .geometry import CalibratedScreen, screen_to_gaze
 from .optics import load_image, save_image
@@ -151,26 +151,25 @@ def read_manifest(root: str, validate: bool = True) -> DatasetManifest:
         raise DataError(f"no sidecar config at {sidecar}")
     config = ExperimentConfig.load(sidecar)
     rows = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != _COLUMNS:
-            raise DataError(f"{path}: unexpected manifest columns {header}")
-        for rec in reader:
-            if len(rec) != len(_COLUMNS):
-                raise DataError(f"{path}: bad row {rec}")
-            try:
-                rows.append(ManifestRow(
-                    sample_id=rec[0], subject_id=int(rec[1]), round_id=int(rec[2]),
-                    grid_i=int(rec[3]), grid_j=int(rec[4]), image_path=rec[5],
-                    stage=rec[6],
-                    gaze=np.array([float(rec[7]), float(rec[8]), float(rec[9])]),
-                    screen_pt=np.array([float(rec[10]), float(rec[11])])))
-            except ValueError as e:
-                raise DataError(f"{path}: unparsable row {rec}") from e
-            if not _is_image_path(rows[-1].image_path):
-                raise DataError(f"{path}: image path {rec[5]!r} is not "
-                                f"{IMAGES_DIR}/<name>{IMAGE_SUFFIX}")
+    reader = csv.reader(read_lines(path, DataError, newline=""))
+    header = next(reader, None)
+    if header != _COLUMNS:
+        raise DataError(f"{path}: unexpected manifest columns {header}")
+    for rec in reader:
+        if len(rec) != len(_COLUMNS):
+            raise DataError(f"{path}: bad row {rec}")
+        try:
+            rows.append(ManifestRow(
+                sample_id=rec[0], subject_id=int(rec[1]), round_id=int(rec[2]),
+                grid_i=int(rec[3]), grid_j=int(rec[4]), image_path=rec[5],
+                stage=rec[6],
+                gaze=np.array([float(rec[7]), float(rec[8]), float(rec[9])]),
+                screen_pt=np.array([float(rec[10]), float(rec[11])])))
+        except ValueError as e:
+            raise DataError(f"{path}: unparsable row {rec}") from e
+        if not _is_image_path(rows[-1].image_path):
+            raise DataError(f"{path}: image path {rec[5]!r} is not "
+                            f"{IMAGES_DIR}/<name>{IMAGE_SUFFIX}")
     m = DatasetManifest(root=root, rows=rows, config=config)
     if validate:
         m.validate()

@@ -15,7 +15,6 @@ little-endian float32 weights and cols float32 biases.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -24,7 +23,6 @@ from .errors import ConfigError, DataError, FormatError, NumericalError
 from .geometry import (CalibratedScreen, angular_error, gaze_to_screen,
                        gaze_to_screen_jacobian, MIN_PROJECTABLE_Z)
 from .seeds import make_rng, mix_seed
-from .workers import parallel_map
 
 INPUT_SIDE = 32
 ARCH = (INPUT_SIDE * INPUT_SIDE, 128, 64, 3)
@@ -314,30 +312,31 @@ def _area_mean(x: np.ndarray, fy: int, fx: int, out: np.ndarray,
 
 
 # The stacked warp works on _STACK images x _WARP_ROWS rows at a time: at a
-# 64-pixel plane width each operation covers 16k float64 values (128 KiB),
-# enough for two threads to run much of the time outside the GIL; per-sample
-# warps and stacks of 4 ran slower on two threads than on one. Its
-# temporaries live in per-thread buffers (_warp_workspace), because fresh
-# ones this size would be mmapped and page-faulted in again on every block.
+# 64-pixel plane width each of a block's ~40 numpy calls covers 16k values,
+# so their fixed per-call cost is small against the arithmetic (stacks of
+# one image ran slower), while the block's scratch (_warp_scratch, 0.84 MiB
+# at 64x64 planes) stays small enough to be reused from cache.
 _STACK = 8
 _WARP_ROWS = 32
-_workspace = threading.local()
 
-# Scratch arrays of one bilinear sampling pass, by name and dtype; "gather"
-# takes the dtype of the image stack.
-_SAMPLE_BUFFERS = {"p": float, "q": float, "r": float, "xq": float, "yq": float,
-                   "idx": np.intp, "inside": bool, "test": bool}
-
-
-def _warp_workspace(n: int, dtype) -> dict[str, np.ndarray]:
-    """Flat scratch arrays of n elements owned by the calling thread, grown
-    on demand."""
-    ws = getattr(_workspace, "warp", None)
-    if ws is None or ws["p"].size < n or ws["gather"].dtype != dtype:
-        n = max(n, ws["p"].size) if ws is not None else n
-        ws = _workspace.warp = {
-            **{b: np.empty(n, dtype=t) for b, t in _SAMPLE_BUFFERS.items()},
-            "gather": np.empty(n, dtype=dtype)}
+def _warp_scratch(planes: np.ndarray) -> dict[str, np.ndarray]:
+    """Flat scratch arrays for _warp_stack on up to _STACK images of the
+    (N, h, w) stack ``planes``, by name: those of one bilinear sampling
+    pass, "gather" in the dtype of ``planes``. A training run allocates
+    them once, because fresh arrays this size would be mmapped and
+    page-faulted in again on every block. They are views of one buffer:
+    as nine separate arrays they left the cli-chain benchmark's peak RSS
+    about 1 MB higher."""
+    h, w = planes.shape[1:]
+    n = _STACK * min(h, _WARP_ROWS) * w
+    # Widest first, so that each view is aligned to its item size.
+    dtypes = {"p": float, "q": float, "r": float, "xq": float, "yq": float,
+              "idx": np.intp, "gather": planes.dtype, "inside": bool, "test": bool}
+    buf = np.empty(n * sum(np.dtype(t).itemsize for t in dtypes.values()), np.uint8)
+    ws, at = {}, 0
+    for b, t in dtypes.items():
+        ws[b] = buf[at:at + n * np.dtype(t).itemsize].view(t)
+        at += ws[b].nbytes
     return ws
 
 
@@ -399,13 +398,13 @@ def _bilinear_into(flat: np.ndarray, h: int, w: int, xq: np.ndarray,
 
 
 def _warp_stack(planes: np.ndarray, rows, affines, out: np.ndarray,
-                fy: int = 1, fx: int = 1) -> None:
+                ws: dict[str, np.ndarray], fy: int = 1, fx: int = 1) -> None:
     """Warp each image planes[rows[i]] of the (N, h, w) stack by affines[i],
     a (rotation_deg, (tx, ty), scale): rotate and scale about the image
     center, then translate, with bilinear resampling; out-of-frame samples
     take the mean of the image's border pixels. Writes the fy x fx area mean
     of each warped image into out (k, h//fy, w//fx); fy = fx = 1 writes the
-    warped images themselves.
+    warped images themselves. ``ws`` is _warp_scratch(planes).
 
     A C-contiguous stack is read in place, in its own dtype. Rows are warped
     in blocks and each block is averaged straight into out, so the warped
@@ -417,7 +416,6 @@ def _warp_stack(planes: np.ndarray, rows, affines, out: np.ndarray,
     h, w = planes.shape[1:]
     flat = planes.reshape(-1)
     rows_per_block = fy * max(1, _WARP_ROWS // fy)
-    ws = _warp_workspace(k * rows_per_block * w, planes.dtype)
 
     def per_image(values):
         return np.array(values, dtype=float)[:, None, None]
@@ -598,12 +596,12 @@ def training_set(samples, load=None) -> TrainingSet:
 
 
 def _prepare_inputs(ts: TrainingSet, augment: bool, ranges: AffineRanges,
-                    seed: int, epoch: int) -> np.ndarray:
+                    seed: int, epoch: int, ws: dict[str, np.ndarray]) -> np.ndarray:
     """Model inputs (n, 32*32): the 32x32 area mean of each training plane,
     warped first when asked. The warp draws its affine in frame pixels and
     applies it to the plane with the translation divided by r. Augmented
-    planes are warped and averaged down in stacks of _STACK, fanned out
-    over the worker pool.
+    planes are warped and averaged down in stacks of _STACK through the
+    scratch arrays ``ws`` (_warp_scratch(ts.planes)).
     """
     n = len(ts)
     X = np.empty((n, INPUT_SIDE * INPUT_SIDE))
@@ -612,17 +610,14 @@ def _prepare_inputs(ts: TrainingSet, augment: bool, ranges: AffineRanges,
             X[i] = downsample_image(ts.planes[row]).reshape(-1)
         return X
     fy, fx = frame_factors(ts.planes.shape[1:])
-
-    def stack(lo):
-        ids = range(lo, min(lo + _STACK, n))
+    for lo in range(0, n, _STACK):
+        hi = min(lo + _STACK, n)
         affines = []
-        for i in ids:
+        for i in range(lo, hi):
             rot, (tx, ty), scale = _draw_affine(ranges, mix_seed(seed, 0xA46, epoch, i))
             affines.append((rot, (tx / ts.r, ty / ts.r), scale))
-        out = X[ids.start:ids.stop].reshape(len(ids), INPUT_SIDE, INPUT_SIDE)
-        _warp_stack(ts.planes, ts.rows[ids.start:ids.stop], affines, out, fy, fx)
-
-    parallel_map(stack, range(0, n, _STACK))
+        out = X[lo:hi].reshape(hi - lo, INPUT_SIDE, INPUT_SIDE)
+        _warp_stack(ts.planes, ts.rows[lo:hi], affines, out, ws, fy, fx)
     return X
 
 
@@ -653,10 +648,11 @@ def train(m: RegressorModel, train_set, val_set, cfg: TrainConfig,
     first = min(trainable, default=model.n_layers)
     opt = AdamState(model)
     gt_train, gt_val, gaze_val = train_set.screen_pts, val_set.screen_pts, val_set.gazes
-    X_val = _prepare_inputs(val_set, False, cfg.aug, cfg.seed, 0)
+    ws = _warp_scratch(train_set.planes)
+    X_val = _prepare_inputs(val_set, False, cfg.aug, cfg.seed, 0, ws)
     X_train_static = None
     if not cfg.augment:
-        X_train_static = _prepare_inputs(train_set, False, cfg.aug, cfg.seed, 0)
+        X_train_static = _prepare_inputs(train_set, False, cfg.aug, cfg.seed, 0, ws)
 
     history: list[EpochStats] = []
     # The starting weights are a selection candidate too, so a run that never
@@ -670,7 +666,7 @@ def train(m: RegressorModel, train_set, val_set, cfg: TrainConfig,
         lr = cfg.lr * cfg.lr_decay ** (epoch // cfg.lr_step_epochs)
         order = make_rng(cfg.seed, 0x54F, epoch).permutation(n)
         if cfg.augment:
-            X_epoch = _prepare_inputs(train_set, True, cfg.aug, cfg.seed, epoch)
+            X_epoch = _prepare_inputs(train_set, True, cfg.aug, cfg.seed, epoch, ws)
         else:
             X_epoch = X_train_static
         loss_sum = 0.0

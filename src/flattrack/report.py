@@ -8,43 +8,46 @@ from __future__ import annotations
 import csv
 import math
 
-from .errors import DataError
+from .errors import DataError, read_lines
 
 # Circles never collapse below this radius so zero-error points stay visible.
 MIN_RADIUS_PX = 2.0
 MAX_RADIUS_PX = 24.0
+
+_COLUMNS = ["i", "j", "mean_err_deg", "count"]
 
 
 def write_per_point_csv(per_point: dict[tuple[int, int], tuple[float, int]],
                         path) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["i", "j", "mean_err_deg", "count"])
+        w.writerow(_COLUMNS)
         for (i, j), (err, count) in sorted(per_point.items()):
             w.writerow([i, j, repr(float(err)), count])
 
 
 def read_per_point_csv(path) -> dict[tuple[int, int], tuple[float, int]]:
     out: dict[tuple[int, int], tuple[float, int]] = {}
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["i", "j", "mean_err_deg", "count"]:
-            raise DataError(f"{path}: unexpected per-point columns {header}")
-        for rec in reader:
-            try:
-                key = (int(rec[0]), int(rec[1]))
-                err, count = float(rec[2]), int(rec[3])
-            except (ValueError, IndexError) as e:
-                raise DataError(f"{path}: bad row {rec}") from e
-            # A NaN error would make the map's largest error NaN, and a
-            # negative index would draw its point off the map.
-            if not (math.isfinite(err) and err >= 0 and count > 0
-                    and min(key) >= 0):
-                raise DataError(f"{path}: bad index, error or count in row {rec}")
-            if key in out:
-                raise DataError(f"{path}: duplicate grid point {key}")
-            out[key] = (err, count)
+    reader = csv.reader(read_lines(path, DataError, newline=""))
+    header = next(reader, None)
+    if header != _COLUMNS:
+        raise DataError(f"{path}: unexpected per-point columns {header}")
+    for rec in reader:
+        if len(rec) != len(_COLUMNS):
+            raise DataError(f"{path}: bad row {rec}")
+        try:
+            key = (int(rec[0]), int(rec[1]))
+            err, count = float(rec[2]), int(rec[3])
+        except ValueError as e:
+            raise DataError(f"{path}: bad row {rec}") from e
+        # A NaN error would make the map's largest error NaN, and a
+        # negative index would draw its point off the map.
+        if not (math.isfinite(err) and err >= 0 and count > 0
+                and min(key) >= 0):
+            raise DataError(f"{path}: bad index, error or count in row {rec}")
+        if key in out:
+            raise DataError(f"{path}: duplicate grid point {key}")
+        out[key] = (err, count)
     if not out:
         raise DataError(f"{path}: empty per-point table")
     return out

@@ -1,7 +1,7 @@
 """Worker pool for per-sample fan-out, capped by FLATTRACK_THREADS.
 
-Kept apart from ``pipeline`` so that every stage, the regressor included,
-can fan out without an import cycle.
+The CLI's render-dataset, simulate and reconstruct (also inside
+compare-lensed) fan out through it; training runs on the calling thread.
 """
 
 from __future__ import annotations

@@ -455,6 +455,34 @@ def test_config_key_set_twice_exit_code(tmp_path, small_cfg_file, capsys):
     assert not out.exists()
 
 
+def test_config_not_utf8_exit_code(tmp_path, small_cfg_file, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(open(small_cfg_file, "rb").read() + b"# \xff\n")
+    out = tmp_path / "grid.csv"
+    assert run(["grid-stats", "--config", str(path), "--out", str(out)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_manifest_not_utf8_exit_code(tmp_path, pipeline_dirs, capsys):
+    ds = tmp_path / "recon"
+    shutil.copytree(pipeline_dirs["recon"], ds)
+    with open(ds / "manifest.csv", "ab") as f:
+        f.write(b"\xff\xfe")
+    assert run(["train", "--in", str(ds), "--out", str(tmp_path / "models")]) == 3
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_per_point_csv_not_utf8_exit_code(tmp_path, pipeline_dirs, capsys):
+    path = tmp_path / "per_point.csv"
+    path.write_bytes(open(os.path.join(pipeline_dirs["eval"], "per_point.csv"), "rb").read()
+                     + b"0,\xff,1.0,1\n")
+    svg = tmp_path / "map.svg"
+    assert run(["grid-report", "--in", str(path), "--out", str(svg)]) == 3
+    assert "not UTF-8" in capsys.readouterr().err
+    assert not svg.exists()
+
+
 def test_repeated_set_flags_override_in_order(tmp_path, small_cfg_file):
     out = tmp_path / "grid.csv"
     assert run(["grid-stats", "--config", small_cfg_file, "--set", "grid.rows=5",

@@ -138,7 +138,6 @@ def test_config_builders_cover_schema():
     tc = cfg.train_config()
     assert tc.epochs == 50 and tc.weight_decay == 5e-4 and tc.lr == 1e-4
     assert tc.lr_decay == 0.5 and tc.lr_step_epochs == 5
-    assert cfg.wiener_config(gamma=0.5).gamma == 0.5
 
 
 def test_every_schema_key_has_matching_default_type():
@@ -347,7 +346,7 @@ def test_per_point_csv_round_trip(tmp_path):
 
 @pytest.mark.parametrize("row", ["1,0,nan,3", "1,0,inf,3", "1,0,-0.5,3",
                                  "1,0,1.5,0", "1,0,1.5,-2", "-1,0,1.5,3",
-                                 "1,-2,1.5,3", "0,1,1.5,3"])
+                                 "1,-2,1.5,3", "0,1,1.5,3", "1,0,1.0,1,extra"])
 def test_per_point_csv_rejects_bad_rows(tmp_path, row):
     path = tmp_path / "pp.csv"
     write_per_point_csv({(0, 0): (1.0, 3), (0, 1): (2.0, 3)}, path)

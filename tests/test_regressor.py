@@ -1,7 +1,7 @@
 import csv
 import dataclasses
 import math
-import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +21,8 @@ from flattrack.regressor import (ARCH, AdamState, AffineRanges, EpochStats,
                                  load_model, model_init, save_model,
                                  train, backward_batch, plane_factor,
                                  training_set, _STACK, _area_mean,
-                                 _draw_affine, _prepare_inputs, _warp_stack)
+                                 _draw_affine, _prepare_inputs, _warp_scratch,
+                                 _warp_stack)
 from flattrack.seeds import mix_seed
 from oracles import batch_loss, loss_l1
 
@@ -247,8 +248,9 @@ def test_batched_projection_equals_the_per_sample_loop():
 
 def warp(img, affine):
     """One image warped by one (rotation_deg, (tx, ty), scale)."""
-    out = np.empty((1,) + np.shape(img))
-    _warp_stack(np.asarray(img)[None], [0], [affine], out)
+    planes = np.asarray(img)[None]
+    out = np.empty(planes.shape)
+    _warp_stack(planes, [0], [affine], out, _warp_scratch(planes))
     return out[0]
 
 
@@ -368,6 +370,11 @@ def frames_set(images):
                                          gaze=(0.0, 0.0, 1.0)) for im in images])
 
 
+def prepare(ts, augment, ranges, seed, epoch):
+    """_prepare_inputs with the warp scratch that train allocates."""
+    return _prepare_inputs(ts, augment, ranges, seed, epoch, _warp_scratch(ts.planes))
+
+
 @pytest.mark.parametrize("shape, r", [((32, 32), 1), ((64, 64), 1), ((96, 96), 1),
                                       ((128, 128), 2), ((128, 192), 2),
                                       ((192, 192), 3), ((224, 224), 1)])
@@ -402,7 +409,7 @@ def plane_reference(image, r, ranges, seed, epoch, i):
 # frames that train on planes (r = 2, 3); 2 stacks and a remainder.
 @pytest.mark.parametrize("shape", [(128, 128), (64, 96), (32, 224), (128, 192),
                                    (192, 192)])
-def test_stacked_augmentation_equals_per_sample(shape, monkeypatch):
+def test_stacked_augmentation_equals_per_sample(shape):
     rng = np.random.default_rng(21)
     images = [rng.random(shape) for _ in range(2 * _STACK + 3)]
     ranges = AffineRanges(rotation_deg=20.0, translate_px=8.0,
@@ -412,17 +419,9 @@ def test_stacked_augmentation_equals_per_sample(shape, monkeypatch):
     expected = np.stack([plane_reference(im, r, ranges, seed, epoch, i)
                          for i, im in enumerate(images)])
     ts = frames_set(images)
-    interval = sys.getswitchinterval()
-    try:
-        sys.setswitchinterval(1e-6)
-        for workers in ("1", "2", "4"):
-            monkeypatch.setenv("FLATTRACK_THREADS", workers)
-            X = _prepare_inputs(ts, True, ranges, seed, epoch)
-            assert np.array_equal(X, expected)
-    finally:
-        sys.setswitchinterval(interval)
+    assert np.array_equal(prepare(ts, True, ranges, seed, epoch), expected)
     # Validation inputs are the area mean of the unwarped plane.
-    assert np.array_equal(_prepare_inputs(ts, False, ranges, seed, epoch), np.stack(
+    assert np.array_equal(prepare(ts, False, ranges, seed, epoch), np.stack(
         [downsample_image(plane_of(im, r)).reshape(-1) for im in images]))
 
 
@@ -441,8 +440,8 @@ def test_prepare_inputs_of_frames_with_r_1_are_the_full_frame_warp(shape):
     expected = np.stack([downsample_image(unblocked_warp(
         im.astype(float), *_draw_affine(ranges, mix_seed(seed, 0xA46, epoch, i)))).reshape(-1)
         for i, im in enumerate(images)])
-    assert np.array_equal(_prepare_inputs(ts, True, ranges, seed, epoch), expected)
-    assert np.array_equal(_prepare_inputs(ts, False, ranges, seed, epoch),
+    assert np.array_equal(prepare(ts, True, ranges, seed, epoch), expected)
+    assert np.array_equal(prepare(ts, False, ranges, seed, epoch),
                           np.stack([downsample_image(im).reshape(-1) for im in images]))
 
 
@@ -450,9 +449,9 @@ def test_train_warps_float32_planes(monkeypatch):
     import flattrack.regressor as regressor
     seen = []
 
-    def spy(planes, rows, affines, out, fy=1, fx=1):
+    def spy(planes, rows, affines, out, ws, fy=1, fx=1):
         seen.append((planes.dtype, planes.shape[1:], fy, fx))
-        return warp_stack(planes, rows, affines, out, fy, fx)
+        return warp_stack(planes, rows, affines, out, ws, fy, fx)
 
     warp_stack = regressor._warp_stack
     monkeypatch.setattr(regressor, "_warp_stack", spy)
@@ -462,6 +461,23 @@ def test_train_warps_float32_planes(monkeypatch):
     train(model_init(3), training_set(tr), training_set(va),
           TrainConfig(epochs=1, batch_size=8, seed=7), SCREEN)
     assert seen and set(seen) == {(np.dtype(np.float32), (64, 64), 2, 2)}
+
+
+def test_train_warps_on_the_calling_thread(monkeypatch):
+    import flattrack.regressor as regressor
+    idents = []
+
+    def spy(*args):
+        idents.append(threading.get_ident())
+        return warp_stack(*args)
+
+    warp_stack = regressor._warp_stack
+    monkeypatch.setattr(regressor, "_warp_stack", spy)
+    monkeypatch.setenv("FLATTRACK_THREADS", "4")
+    # 9 samples: two stacks per epoch.
+    train(model_init(3), training_set(tiny_round(0)), training_set(tiny_round(1)),
+          TrainConfig(epochs=2, batch_size=8, seed=7), SCREEN)
+    assert idents and set(idents) == {threading.get_ident()}
 
 
 def test_training_identical_at_any_thread_count(tmp_path, monkeypatch):
@@ -494,9 +510,9 @@ def test_float32_images_prepare_like_float64(shape):
     ranges = AffineRanges(rotation_deg=20.0, translate_px=8.0,
                           scale_min=0.8, scale_max=1.2)
     for augment in (True, False):
-        x32 = _prepare_inputs(frames_set(images), augment, ranges, 5, 3)
-        x64 = _prepare_inputs(frames_set([im.astype(float) for im in images]),
-                              augment, ranges, 5, 3)
+        x32 = prepare(frames_set(images), augment, ranges, 5, 3)
+        x64 = prepare(frames_set([im.astype(float) for im in images]),
+                      augment, ranges, 5, 3)
         assert np.array_equal(x32, x64)
 
 
@@ -507,9 +523,9 @@ def test_prepare_inputs_checks_the_frame_shape():
     off_rule = [rng.random((100, 100)) for _ in range(3)]
     for augment in (True, False):
         with pytest.raises(DataError):
-            _prepare_inputs(frames_set(mixed), augment, ranges, 5, 3)
+            prepare(frames_set(mixed), augment, ranges, 5, 3)
         with pytest.raises(ConfigError):
-            _prepare_inputs(frames_set(off_rule), augment, ranges, 5, 3)
+            prepare(frames_set(off_rule), augment, ranges, 5, 3)
 
 
 def test_float32_images_train_and_evaluate_like_float64(tmp_path, monkeypatch):
