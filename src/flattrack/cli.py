@@ -30,7 +30,7 @@ from .eyesim import GazeSample, iter_round
 from .geometry import grid_angular_stats, make_grid
 from .manifest import (DatasetManifest, read_manifest, remove_dataset,
                        save_sample, write_rows)
-from .optics import (Psf, generate_contour_psf, load_psf, save_psf,
+from .optics import (Psf, as_float32, generate_contour_psf, load_psf, save_psf,
                      simulate_measurement, spectral_flatness_ratio)
 from .pipeline import (TAG_SIMULATE, aggregate_per_point, load_pool,
                        partition_samples, run_protocol, seed_for_sample,
@@ -100,8 +100,10 @@ def lensless(cfg: ExperimentConfig, psf: Psf):
     """The camera of ``cfg`` and ``psf`` as two sample maps, (measure,
     reconstruct): a scene sample to its measurement, with noise seeded by
     the sample's id alone, and a measurement sample to its Wiener
-    reconstruction. The noise model and the Wiener settings are built here,
-    so a bad setting raises ConfigError before any sample is read."""
+    reconstruction. Both images are float32, as their files store them, so
+    the camera in memory is the camera of the files. The noise model and
+    the Wiener settings are built here, so a bad setting raises ConfigError
+    before any sample is read."""
     noise = cfg.noise_model()
     wcfg = cfg.wiener_config()
     master = cfg["seed"]
@@ -112,8 +114,8 @@ def lensless(cfg: ExperimentConfig, psf: Psf):
         return replace(s, image=y, stage="measurement")
 
     def reconstruct(s: GazeSample) -> GazeSample:
-        return replace(s, image=wiener_deconvolve(s.image, psf, wcfg),
-                       stage="reconstruction")
+        x = as_float32(wiener_deconvolve(s.image, psf, wcfg), "reconstruction")
+        return replace(s, image=x, stage="reconstruction")
 
     return measure, reconstruct
 

@@ -103,7 +103,8 @@ def render_eye(gaze, params: EyeRenderParams, subject_seed: int,
 
     Pupil/iris centers displace from the frame center by
     (R*gaze_x*scale, -R*gaze_y*scale); the pupil is foreshortened by gaze_z
-    along the displacement direction. Output values lie in [0, 1].
+    along the displacement direction. Output values lie in [0, 1], as
+    float32: the image is computed in float64 and cast once at the end.
     """
     g = np.asarray(gaze, dtype=float)
     if g[2] <= 0:
@@ -120,8 +121,10 @@ def render_eye(gaze, params: EyeRenderParams, subject_seed: int,
     if (abs(dx) - pupil_r > w / 2.0) or (abs(dy) - pupil_r > h / 2.0):
         raise NumericalError("unrenderable gaze: pupil fully off-frame")
 
-    yy, xx = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float),
-                         indexing="ij")
+    # A column of rows and a row of columns: each term broadcasts to the
+    # frame with the operations a full grid would take.
+    yy = np.arange(h, dtype=float)[:, None]
+    xx = np.arange(w, dtype=float)
     u = xx - (cx + dx)
     v = yy - (cy + dy)
 
@@ -161,7 +164,7 @@ def render_eye(gaze, params: EyeRenderParams, subject_seed: int,
     if p.texture_noise_rel > 0:
         rng = make_rng(jitter_seed)
         img = img + rng.normal(0.0, p.texture_noise_rel, size=img.shape)
-    return np.clip(img, 0.0, 1.0)
+    return np.clip(img, 0.0, 1.0).astype(np.float32)
 
 
 def render_round(grid: GridSpec, screen: CalibratedScreen, params: EyeRenderParams,

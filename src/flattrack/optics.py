@@ -33,7 +33,11 @@ _workspace = threading.local()
 
 
 def _check_image(x, name: str = "image") -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    """``x`` as a checked 2D array: float32 as it is, anything else as
+    float64. The kernels compute in float64 either way (_filter_padded)."""
+    x = np.asarray(x)
+    if x.dtype != np.float32:
+        x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.size == 0:
         raise ConfigError(f"{name} must be a non-empty 2D array")
     if not np.all(np.isfinite(x)):
@@ -85,7 +89,9 @@ class Psf:
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        data = _check_image(self.data, "psf").copy()
+        # float64 even from a float32 file: a float32 PSF would give a
+        # complex64 spectrum.
+        data = _check_image(self.data, "psf").astype(float)
         if np.any(data < 0):
             raise ConfigError("psf values must be nonnegative")
         data.flags.writeable = False
@@ -121,9 +127,9 @@ def fft_conv_shape(h: int, w: int) -> tuple[int, int]:
 
 
 def _psf_operand(p: Psf | np.ndarray) -> Psf | np.ndarray:
-    """A Psf as it is; anything else as a checked float array, which may be
-    negative and is never cached."""
-    return p if isinstance(p, Psf) else _check_image(p, "psf")
+    """A Psf as it is; anything else as a checked float64 array, which may
+    be negative and is never cached."""
+    return p if isinstance(p, Psf) else _check_image(p, "psf").astype(float, copy=False)
 
 
 def _padded_spectrum(p: Psf | np.ndarray, out_h: int, out_w: int):
@@ -152,14 +158,18 @@ def _filter_padded(x: np.ndarray, grid: tuple[int, int], filt, out_h: int,
 
     The 2-D transforms run as the same 1-D passes, written into this
     thread's workspace; ``filt`` updates the spectrum in place. The row
-    pass fills the top rows and the pad rows are zeroed in place, so the
-    column pass needs no padded copy. Only the last pass, on the kept rows,
-    allocates, and its array is the result.
+    pass reads ``x`` through the second buffer, converted there to float64,
+    so a float32 frame gets no float64 copy (numpy's rfft would allocate
+    one); it fills the top rows and the pad rows are zeroed in place, so
+    the column pass needs no padded copy. Only the last pass, on the kept
+    rows, allocates, and its array is the result.
     """
     fw = grid[1]
     a, b = _fft_workspace(grid)
-    h = x.shape[0]
-    np.fft.rfft(x, n=fw, axis=1, out=a[:h])
+    h, w = x.shape
+    rows = b.view(float)[:h, :w]
+    rows[...] = x
+    np.fft.rfft(rows, n=fw, axis=1, out=a[:h])
     # The previous call's inverse pass left data in the pad rows.
     a[h:] = 0
     np.fft.fft(a, axis=0, out=b)
@@ -184,18 +194,18 @@ def full_convolve(x, p: Psf | np.ndarray) -> np.ndarray:
 
 
 def simulate_measurement(x, p: Psf, noise: NoiseModel, seed: int) -> np.ndarray:
-    """Measurement = full_convolve(x, p) + seeded additive noise.
+    """Measurement = full_convolve(x, p) + seeded additive noise, formed in
+    float64 and returned as float32, as FLTIMG stores it.
 
     Deterministic: identical (inputs, seed) give bit-identical outputs.
     """
     y = full_convolve(x, p)
-    if noise.kind == "none" or noise.sigma_rel == 0.0:
-        return y
-    sigma = noise.sigma_rel * float(np.max(y))
-    if sigma > 0:
-        rng = make_rng(seed)
-        y = y + rng.normal(0.0, sigma, size=y.shape)
-    return y
+    if noise.kind != "none" and noise.sigma_rel > 0.0:
+        sigma = noise.sigma_rel * float(np.max(y))
+        if sigma > 0:
+            rng = make_rng(seed)
+            y = y + rng.normal(0.0, sigma, size=y.shape)
+    return as_float32(y, "measurement")
 
 
 @dataclass(frozen=True)
@@ -266,18 +276,28 @@ def spectral_flatness_ratio(p: Psf) -> float:
 # FLTIMG io
 # ---------------------------------------------------------------------------
 
+def as_float32(x, name: str = "image") -> np.ndarray:
+    """``x`` as FLTIMG stores it: contiguous little-endian float32, cast
+    only when it is not that already. Finiteness is checked after the cast,
+    so a value beyond float32's range raises NumericalError here."""
+    with np.errstate(over="ignore"):  # an overflow raises below instead
+        xa = np.ascontiguousarray(x, dtype="<f4")
+    if not np.all(np.isfinite(xa)):
+        raise NumericalError(f"{name} contains values that are not finite "
+                             f"in float32")
+    return xa
+
+
 def save_image(x, path) -> None:
     """Write a 2D array as FLTIMG (float32, bit-exact round trip).
 
-    The array is checked as given and cast only when it is not already
-    little-endian float32; its buffer is written as it is.
+    The array is cast (as_float32) and checked before the file is opened;
+    its buffer is written as it is.
     """
     xa = np.asarray(x)
     if xa.ndim != 2 or xa.size == 0:
         raise ConfigError("image must be a non-empty 2D array")
-    if not np.all(np.isfinite(xa)):
-        raise NumericalError("image contains non-finite values")
-    xa = np.ascontiguousarray(xa, dtype="<f4")
+    xa = as_float32(xa)
     with open(path, "wb") as f:
         f.write(f"{_FLTIMG_MAGIC}{_FLTIMG_VERSION} {xa.shape[0]} {xa.shape[1]}\n".encode("ascii"))
         f.write(xa)
@@ -286,8 +306,9 @@ def save_image(x, path) -> None:
 def load_image(path) -> np.ndarray:
     """Read an FLTIMG file into a writable float32 2D array.
 
-    Images stay float32 at rest; every kernel converts its input to float64,
-    which is exact.
+    Frames are float32 in memory as on disk: render_eye,
+    simulate_measurement and the CLI's reconstruction step return them so.
+    Every kernel computes in float64; the conversion is exact.
     """
     with open(path, "rb") as f:
         header = f.readline(64)

@@ -40,7 +40,8 @@ def _wiener_padded(y: np.ndarray, p: np.ndarray, gamma: float) -> np.ndarray:
     """Uncropped minimizer of the padded circular Tikhonov problem, computed
     afresh: the reference that the cached path must equal bit for bit."""
     fh, fw = fft_conv_shape(y.shape[0], y.shape[1])
-    fy = np.fft.rfft2(y, s=(fh, fw))
+    # As float64: numpy's rfft2 of a float32 array is complex64.
+    fy = np.fft.rfft2(np.asarray(y, dtype=float), s=(fh, fw))
     fp = np.fft.rfft2(p, s=(fh, fw))
     fx = np.conj(fp) * fy / (np.abs(fp) ** 2 + gamma)
     return np.fft.irfft2(fx, s=(fh, fw))

@@ -11,6 +11,7 @@ Criteria are numbered in the printed output.
 import hashlib
 import math
 import os
+import resource
 import time
 
 import numpy as np
@@ -95,8 +96,11 @@ def e2e(acceptance_config, contour_psf, scenes):
         for sid, held in result.split.heldout.items()
     }
     elapsed = dict(recon=t_recon, train=t_train)
+    # ru_maxrss is in KiB on Linux: the memory the fixtures hold shows here.
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"[e2e] simulate+reconstruct {t_recon:.1f}s, "
-          f"pretrain+fine-tune+eval {t_train:.1f}s")
+          f"pretrain+fine-tune+eval {t_train:.1f}s, "
+          f"process peak RSS {peak_mb:.0f} MB")
     for sid, rep in sorted(result.reports.items()):
         print(f"[e2e] subject {sid}: held-out mean "
               f"{rep.mean_err_deg:.3f} deg (baseline {baseline[sid]:.3f} deg)")

@@ -537,13 +537,30 @@ def test_lensless_is_the_camera_of_simulate_and_reconstruct(pipeline_dirs):
         assert (y.sample_id, y.subject_id, y.round_id, y.grid_i, y.grid_j) == (
             s.sample_id, s.subject_id, s.round_id, s.grid_i, s.grid_j)
         assert np.array_equal(y.gaze, s.gaze) and np.array_equal(y.screen_pt, s.screen_pt)
-        assert np.array_equal(y.image.astype(np.float32), written[row.sample_id])
+        assert y.image.dtype == np.float32
+        assert np.array_equal(y.image, written[row.sample_id])
     written = {r.sample_id: load_image(os.path.join(recon.root, r.image_path))
                for r in recon.rows}
     for row in meas.rows:
         x = reconstruct(meas.load_sample(row))
         assert x.stage == "reconstruction"
-        assert np.array_equal(x.image.astype(np.float32), written[row.sample_id])
+        assert x.image.dtype == np.float32
+        assert np.array_equal(x.image, written[row.sample_id])
+
+
+def test_lensless_in_memory_is_the_cli_chain(pipeline_dirs):
+    # Scene to reconstruction in memory gives the `reconstruct` command's
+    # files, because each step hands on float32 as its file stores it.
+    scenes = read_manifest(pipeline_dirs["scenes"])
+    recon = read_manifest(pipeline_dirs["recon"])
+    measure, reconstruct = lensless(scenes.config, load_psf(pipeline_dirs["psf"]))
+    written = {r.sample_id: load_image(os.path.join(recon.root, r.image_path))
+               for r in recon.rows}
+    assert len(written) == len(scenes.rows)
+    for row in scenes.rows:
+        x = reconstruct(measure(scenes.load_sample(row))).image
+        assert x.dtype == np.float32
+        assert np.array_equal(x, written[row.sample_id])
 
 
 def test_lensless_measurement_depends_on_the_sample_alone(pipeline_dirs):

@@ -66,6 +66,15 @@ def test_pixel_range():
     assert img.min() >= 0.0 and img.max() <= 1.0
 
 
+def test_frames_are_float32():
+    g = np.array([0.2, -0.1, math.sqrt(1 - 0.05)])
+    assert render_eye(g, EyeRenderParams(), 1, 2).dtype == np.float32
+    grid = GridSpec(rows=2, cols=2, spacing_x_px=200.0, spacing_y_px=150.0,
+                    origin_x_px=760.0, origin_y_px=390.0)
+    for s in render_round(grid, SCREEN, CLEAN, 0, 0, 1, base_seed=3):
+        assert s.image.dtype == np.float32
+
+
 def test_unrenderable_gaze_rejected():
     big = EyeRenderParams(eyeball_radius_mm=40.0, iris_radius_mm=6.0,
                           pupil_radius_mm=2.0, camera_scale_px_per_mm=4.0)

@@ -189,10 +189,29 @@ def test_simulate_noise_off_matches_convolution():
     x = rng.random((12, 12))
     d = rng.random((5, 5))
     p = Psf(d / d.sum())
-    y0 = full_convolve(x, p)
+    y0 = full_convolve(x, p).astype(np.float32)
     assert np.array_equal(simulate_measurement(x, p, NoiseModel("none", 0.0), 1), y0)
     assert np.array_equal(
         simulate_measurement(x, p, NoiseModel("gaussian", 0.0), 1), y0)
+
+
+def test_simulate_rejects_a_measurement_beyond_float32():
+    p = Psf(np.ones((3, 3)) / 9)
+    with pytest.raises(NumericalError):
+        simulate_measurement(np.full((8, 8), 1e300), p, NoiseModel(), 1)
+
+
+def test_float32_frames_convolve_as_float64():
+    rng = np.random.default_rng(31)
+    for scene, kernel in [((128, 128), (128, 128)), ((64, 96), (65, 33)),
+                          ((12, 12), (5, 5))]:
+        x = rng.random(scene).astype(np.float32)
+        p = Psf(rng.random(kernel))
+        y = full_convolve(x, p)
+        assert y.dtype == np.float64
+        assert np.array_equal(y, full_convolve(x.astype(float), p))
+        assert np.array_equal(full_convolve(x, p.data.astype(np.float32)),
+                              full_convolve(x, p.data.astype(np.float32).astype(float)))
 
 
 def test_simulate_deterministic_per_seed():
@@ -272,6 +291,13 @@ def test_psf_validation():
         Psf(np.array([[0.5, -0.1], [0.2, 0.4]]))
 
 
+def test_psf_data_is_float64():
+    data = np.random.default_rng(33).random((5, 7)).astype(np.float32)
+    p = Psf(data)
+    assert p.data.dtype == np.float64
+    assert np.array_equal(p.data, data)
+
+
 def test_psf_holds_a_read_only_copy():
     # A cached spectrum cannot go stale: the Psf's data cannot be written,
     # and writing the caller's array does not reach it.
@@ -346,6 +372,15 @@ def test_save_image_bytes_do_not_depend_on_the_input_layout(tmp_path):
         save_image(np.zeros(4, dtype=np.float32), path)
     with pytest.raises(ConfigError):
         save_image(np.zeros((0, 3)), path)
+
+
+def test_save_image_rejects_values_beyond_float32(tmp_path):
+    # Finite in float64, infinite once cast: load_image would reject the file.
+    path = tmp_path / "big.fltimg"
+    for x in (np.array([[1e39]]), np.array([[0.5, -1e39], [0.0, 1.0]])):
+        with pytest.raises(NumericalError):
+            save_image(x, path)
+        assert not path.exists()
 
 
 def test_load_psf_rejects_negative_values(tmp_path):

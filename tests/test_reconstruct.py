@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,33 @@ def test_fft_pad_rows_do_not_go_stale():
             cfg = cfg_for(x, p, gamma=1e-3)
             assert np.array_equal(wiener_deconvolve(y, p, cfg),
                                   reference_wiener(y, p, cfg))
+
+
+def test_wiener_reads_float32_as_float64():
+    rng = np.random.default_rng(24)
+    p = Psf(rng.random((9, 9)))
+    for y in noisy_frames(rng, (32, 40), p, n=3):
+        assert y.dtype == np.float32
+        for clip01 in (True, False):
+            cfg = WienerConfig(1e-3, 32, 40, clip01)
+            assert np.array_equal(wiener_deconvolve(y, p, cfg),
+                                  wiener_deconvolve(y.astype(float), p, cfg))
+
+
+def test_wiener_makes_no_float64_copy_of_a_float32_frame():
+    rng = np.random.default_rng(25)
+    p = Psf(rng.random((128, 128)))
+    y = rng.random((255, 255)).astype(np.float32)
+    cfg = WienerConfig(1e-3, 128, 128)
+    # The first call builds the Psf's terms and this thread's workspace.
+    wiener_deconvolve(y, p, cfg)
+    tracemalloc.start()
+    try:
+        wiener_deconvolve(y, p, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < y.size * 8
 
 
 def test_wiener_results_do_not_share_the_fft_workspace():
