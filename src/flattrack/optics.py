@@ -12,6 +12,7 @@ followed by height*width little-endian IEEE-754 float32 samples, row-major.
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass, field
 
@@ -326,6 +327,9 @@ def load_image(path) -> np.ndarray:
             raise FormatError(f"{path}: non-integer dims in header") from e
         if h <= 0 or w <= 0 or h > MAX_DIM or w > MAX_DIM:
             raise FormatError(f"{path}: implausible dims {h}x{w}")
+        # Checked before allocating: a header may claim gigabytes.
+        if os.fstat(f.fileno()).st_size - f.tell() != 4 * h * w:
+            raise FormatError(f"{path}: truncated or oversized payload")
         data = np.empty((h, w), dtype="<f4")
         if f.readinto(data) != data.nbytes or f.read(1):
             raise FormatError(f"{path}: truncated or oversized payload")

@@ -596,28 +596,30 @@ def training_set(samples, load=None) -> TrainingSet:
 
 
 def _prepare_inputs(ts: TrainingSet, augment: bool, ranges: AffineRanges,
-                    seed: int, epoch: int, ws: dict[str, np.ndarray]) -> np.ndarray:
-    """Model inputs (n, 32*32): the 32x32 area mean of each training plane,
-    warped first when asked. The warp draws its affine in frame pixels and
-    applies it to the plane with the translation divided by r. Augmented
-    planes are warped and averaged down in stacks of _STACK through the
-    scratch arrays ``ws`` (_warp_scratch(ts.planes)).
+                    seed: int, epoch: int, ws: dict[str, np.ndarray],
+                    ids, X: np.ndarray) -> np.ndarray:
+    """Model inputs of samples ``ids`` of ts, in that order, into the rows
+    of X (len(ids), 32*32), which it returns: the 32x32 area mean of each
+    training plane, warped first when asked. Sample i's warp draws its
+    affine from (seed, epoch, i), in frame pixels, and applies it to the
+    plane with the translation divided by r, so a row does not depend on
+    which other ids it is made with. Augmented planes are warped and
+    averaged down in stacks of _STACK through the scratch arrays ``ws``
+    (_warp_scratch(ts.planes)).
     """
-    n = len(ts)
-    X = np.empty((n, INPUT_SIDE * INPUT_SIDE))
     if not augment:
-        for i, row in enumerate(ts.rows):
-            X[i] = downsample_image(ts.planes[row]).reshape(-1)
+        for x, row in zip(X, ts.rows[ids]):
+            x[:] = downsample_image(ts.planes[row]).reshape(-1)
         return X
     fy, fx = frame_factors(ts.planes.shape[1:])
-    for lo in range(0, n, _STACK):
-        hi = min(lo + _STACK, n)
+    for lo in range(0, len(ids), _STACK):
+        stack = ids[lo:lo + _STACK]
         affines = []
-        for i in range(lo, hi):
+        for i in map(int, stack):
             rot, (tx, ty), scale = _draw_affine(ranges, mix_seed(seed, 0xA46, epoch, i))
             affines.append((rot, (tx / ts.r, ty / ts.r), scale))
-        out = X[lo:hi].reshape(hi - lo, INPUT_SIDE, INPUT_SIDE)
-        _warp_stack(ts.planes, ts.rows[lo:hi], affines, out, ws, fy, fx)
+        out = X[lo:lo + len(stack)].reshape(len(stack), INPUT_SIDE, INPUT_SIDE)
+        _warp_stack(ts.planes, ts.rows[stack], affines, out, ws, fy, fx)
     return X
 
 
@@ -638,6 +640,11 @@ def train(m: RegressorModel, train_set, val_set, cfg: TrainConfig,
     Seeded shuffling, Adam with coupled L2 weight decay, learning rate
     decayed every lr_step_epochs. ``trainable`` restricts updates to a layer
     subset (fine-tuning); default is all layers.
+
+    Each batch's inputs are made (warped and averaged down) just before it
+    trains, into one batch buffer allocated per run, so memory does not grow
+    with the training set beyond its planes. The validation inputs are made
+    once per run and reused every epoch.
     """
     if not train_set or not val_set:
         raise DataError("train and validation sets must be non-empty")
@@ -649,10 +656,10 @@ def train(m: RegressorModel, train_set, val_set, cfg: TrainConfig,
     opt = AdamState(model)
     gt_train, gt_val, gaze_val = train_set.screen_pts, val_set.screen_pts, val_set.gazes
     ws = _warp_scratch(train_set.planes)
-    X_val = _prepare_inputs(val_set, False, cfg.aug, cfg.seed, 0, ws)
-    X_train_static = None
-    if not cfg.augment:
-        X_train_static = _prepare_inputs(train_set, False, cfg.aug, cfg.seed, 0, ws)
+    n, n_val = len(train_set), len(val_set)
+    X_val = _prepare_inputs(val_set, False, cfg.aug, cfg.seed, 0, ws,
+                            np.arange(n_val), np.empty((n_val, model.dims[0])))
+    X = np.empty((min(cfg.batch_size, n), model.dims[0]))
 
     history: list[EpochStats] = []
     # The starting weights are a selection candidate too, so a run that never
@@ -661,21 +668,18 @@ def train(m: RegressorModel, train_set, val_set, cfg: TrainConfig,
     best_params = best.weights + best.biases
     _, best_err, _ = _val_metrics(model, X_val, gt_val, gaze_val, screen)
     best_epoch = -1
-    n = len(train_set)
     for epoch in range(cfg.epochs):
         lr = cfg.lr * cfg.lr_decay ** (epoch // cfg.lr_step_epochs)
         order = make_rng(cfg.seed, 0x54F, epoch).permutation(n)
-        if cfg.augment:
-            X_epoch = _prepare_inputs(train_set, True, cfg.aug, cfg.seed, epoch, ws)
-        else:
-            X_epoch = X_train_static
         loss_sum = 0.0
         used_sum = 0
         skipped = 0
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
+            X_batch = _prepare_inputs(train_set, cfg.augment, cfg.aug, cfg.seed,
+                                      epoch, ws, idx, X[:len(idx)])
             loss, gw, gb, n_used, n_skip = batch_loss_and_grads(
-                model, X_epoch[idx], gt_train[idx], screen, first)
+                model, X_batch, gt_train[idx], screen, first)
             if not math.isfinite(loss):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, batch {lo // cfg.batch_size}")
@@ -683,6 +687,9 @@ def train(m: RegressorModel, train_set, val_set, cfg: TrainConfig,
             loss_sum += loss * n_used
             used_sum += n_used
             opt.step(model, gw, gb, lr, cfg, trainable)
+            # The step consumed them: the next batch's gradients are the
+            # only ones alive while it computes.
+            del gw, gb
         train_loss = loss_sum / used_sum if used_sum else float("nan")
         val_loss, val_err, skip_val = _val_metrics(model, X_val, gt_val,
                                                    gaze_val, screen)

@@ -240,6 +240,13 @@ def test_reconstruction_beats_raw_measurement(tmp_path, small_cfg_file, pipeline
     assert psnr(xh, x) > psnr(y_scaled / max(y_scaled.max(), 1e-9), x)
 
 
+def test_psf_whose_header_claims_more_than_the_file_exit_code(tmp_path, pipeline_dirs):
+    psf = tmp_path / "big.fltimg"
+    psf.write_bytes(b"FLTIMG1 65536 65536\n" + b"\x00" * 4)
+    assert run(["reconstruct", "--in", pipeline_dirs["meas"], "--psf", str(psf),
+                "--out", str(tmp_path / "recon")]) == 3
+
+
 def test_gamma_override_recorded(tmp_path, pipeline_dirs):
     out = str(tmp_path / "recon_g")
     assert run(["reconstruct", "--in", pipeline_dirs["meas"],

@@ -354,6 +354,15 @@ def test_load_image_returns_writable_float32(tmp_path):
             load_image(path)
 
 
+def test_load_image_checks_the_payload_size_before_allocating(tmp_path):
+    # 20 header bytes and one sample, for a header that claims 16 GiB.
+    path = tmp_path / "big.fltimg"
+    path.write_bytes(b"FLTIMG1 65536 65536\n" + b"\x00" * 4)
+    assert path.stat().st_size == 24
+    with pytest.raises(FormatError, match="truncated or oversized"):
+        load_image(path)
+
+
 def test_save_image_bytes_do_not_depend_on_the_input_layout(tmp_path):
     x = np.random.default_rng(12).standard_normal((8, 10))
     x32 = x.astype(np.float32)

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import math
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -370,9 +371,12 @@ def frames_set(images):
                                          gaze=(0.0, 0.0, 1.0)) for im in images])
 
 
-def prepare(ts, augment, ranges, seed, epoch):
-    """_prepare_inputs with the warp scratch that train allocates."""
-    return _prepare_inputs(ts, augment, ranges, seed, epoch, _warp_scratch(ts.planes))
+def prepare(ts, augment, ranges, seed, epoch, ids=None):
+    """_prepare_inputs of samples ids (default all) with the warp scratch
+    that train allocates, into a fresh array."""
+    ids = np.arange(len(ts)) if ids is None else ids
+    return _prepare_inputs(ts, augment, ranges, seed, epoch, _warp_scratch(ts.planes),
+                           ids, np.empty((len(ids), 32 * 32)))
 
 
 @pytest.mark.parametrize("shape, r", [((32, 32), 1), ((64, 64), 1), ((96, 96), 1),
@@ -406,7 +410,9 @@ def plane_reference(image, r, ranges, seed, epoch, i):
 
 
 # Square and non-square 32*k frames, one as wide as the rule allows, and
-# frames that train on planes (r = 2, 3); 2 stacks and a remainder.
+# frames that train on planes (r = 2, 3); 2 stacks and a remainder. A
+# shuffled subset of the samples, as train makes one batch, ending in a
+# partial stack, gives the same rows as the whole set.
 @pytest.mark.parametrize("shape", [(128, 128), (64, 96), (32, 224), (128, 192),
                                    (192, 192)])
 def test_stacked_augmentation_equals_per_sample(shape):
@@ -419,10 +425,15 @@ def test_stacked_augmentation_equals_per_sample(shape):
     expected = np.stack([plane_reference(im, r, ranges, seed, epoch, i)
                          for i, im in enumerate(images)])
     ts = frames_set(images)
-    assert np.array_equal(prepare(ts, True, ranges, seed, epoch), expected)
+    everything = prepare(ts, True, ranges, seed, epoch)
+    assert np.array_equal(everything, expected)
     # Validation inputs are the area mean of the unwarped plane.
-    assert np.array_equal(prepare(ts, False, ranges, seed, epoch), np.stack(
+    unwarped = prepare(ts, False, ranges, seed, epoch)
+    assert np.array_equal(unwarped, np.stack(
         [downsample_image(plane_of(im, r)).reshape(-1) for im in images]))
+    ids = rng.permutation(len(images))[:_STACK + 5]
+    assert np.array_equal(prepare(ts, True, ranges, seed, epoch, ids), everything[ids])
+    assert np.array_equal(prepare(ts, False, ranges, seed, epoch, ids), unwarped[ids])
 
 
 # Frames that train on themselves (r = 1): the inputs are the full-frame
@@ -478,6 +489,26 @@ def test_train_warps_on_the_calling_thread(monkeypatch):
     train(model_init(3), training_set(tiny_round(0)), training_set(tiny_round(1)),
           TrainConfig(epochs=2, batch_size=8, seed=7), SCREEN)
     assert idents and set(idents) == {threading.get_ident()}
+
+
+def test_train_holds_no_epoch_sized_input():
+    # Inputs are made per batch: the traced peak of a run must not grow by
+    # an (N, 1024) float64 array (8 KB per sample) when N quadruples.
+    rng = np.random.default_rng(25)
+    val = frames_set(rng.random((8, 32, 32)))
+    cfg = TrainConfig(epochs=1, lr=1e-3, batch_size=32, seed=7)
+
+    def traced_peak(n):
+        ts = frames_set(rng.random((n, 32, 32)))
+        tracemalloc.start()
+        try:
+            train(model_init(3), ts, val, cfg, SCREEN)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    n = 128
+    assert traced_peak(4 * n) - traced_peak(n) < 2 * n * 8 * 1024
 
 
 def test_training_identical_at_any_thread_count(tmp_path, monkeypatch):
