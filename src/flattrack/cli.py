@@ -33,7 +33,7 @@ from .manifest import (DatasetManifest, read_manifest, remove_dataset,
 from .optics import (Psf, as_float32, generate_contour_psf, load_psf, save_psf,
                      simulate_measurement, spectral_flatness_ratio)
 from .pipeline import (TAG_SIMULATE, aggregate_per_point, load_pool,
-                       partition_samples, run_protocol, seed_for_sample,
+                       partition_samples, read, run_protocol, seed_for_sample,
                        train_protocol)
 from .reconstruct import wiener_deconvolve
 # Regressor functions are looked up on the module when called, so that a
@@ -236,10 +236,10 @@ def cmd_eval(args) -> int:
         if not os.path.isfile(model_path):
             raise DataError(f"missing model for subject {sid}: {model_path}")
         model = regressor.load_model(model_path)
-        heldout = m.load_samples(split.heldout[sid])
+        heldout = split.heldout[sid]
         if not reports:
-            timed = model, heldout[0]
-        rep = regressor.evaluate(model, heldout, screen)
+            timed = model, m.load_sample(heldout[0])
+        rep = regressor.evaluate(model, read(heldout, m.load_sample), screen)
         reports[sid] = rep
         subject_rows.append({
             "subject": sid,
@@ -302,12 +302,20 @@ def cmd_compare_lensed(args) -> int:
     scene_rows = [r for r in m.rows if r.stage == "scene"]
     if not scene_rows:
         raise DataError("compare-lensed needs a scene-stage manifest")
+    # Checked before any frame is loaded.
+    cfg.train_config()
+    cfg.train_config(finetune=True)
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):
+        raise DataError(f"no directory {out_dir} for --out {args.out}")
+    if os.path.isdir(args.out):
+        raise DataError(f"--out {args.out} is a directory")
     measure, reconstruct = lensless(cfg, psf)
-    scenes = m.load_samples(scene_rows)
-    recons = parallel_map(lambda s: reconstruct(measure(s)), scenes)
-    # Identical seeds in both arms: only the image pathway differs.
-    res_lensed = run_protocol(scenes, cfg)
-    res_lensless = run_protocol(recons, cfg)
+    # Identical seeds in both arms: only the image pathway differs. Each arm
+    # reads every row once, as it trains or scores it.
+    res_lensed = run_protocol(scene_rows, cfg, m.load_sample)
+    res_lensless = run_protocol(
+        scene_rows, cfg, lambda row: reconstruct(measure(m.load_sample(row))))
     rows = []
     for sid in sorted(res_lensed.reports):
         rows.append({

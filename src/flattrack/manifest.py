@@ -86,9 +86,6 @@ class DatasetManifest:
                           grid_i=row.grid_i, grid_j=row.grid_j,
                           stage=row.stage, sample_id=row.sample_id)
 
-    def load_samples(self, rows=None) -> list[GazeSample]:
-        return [self.load_sample(r) for r in (self.rows if rows is None else rows)]
-
 
 def save_sample(root: str, s: GazeSample) -> ManifestRow:
     """Write one sample's image under ``root`` and return its manifest row."""

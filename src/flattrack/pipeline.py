@@ -20,6 +20,7 @@ from .eyesim import GazeSample
 from .regressor import (EvalReport, TrainingSet, TrainResult, evaluate,
                         fine_tune, model_init, train, training_set)
 from .seeds import make_rng, mix_seed
+from .workers import imap
 
 # Purpose tags for derived seeds (stable across releases).
 TAG_SIMULATE = 0x51B
@@ -106,13 +107,20 @@ class ProtocolResult:
     reports: dict[int, EvalReport] = field(default_factory=dict)
 
 
+def read(items, load=None):
+    """``items`` in order, each read once with ``load(item)`` (or taken as
+    it is), fanned out by workers.imap: a list of manifest rows is read
+    without holding all of its frames."""
+    return iter(items) if load is None else imap(load, items)
+
+
 def load_pool(split: ProtocolSplit, load=None) -> TrainingSet:
     """The training set of the pooled items of ``split``, pretraining's
-    train items then its validation items, each read once with
-    ``load(item)`` (or taken as it is) and reduced to its training plane at
-    once. The held-out items are never read, so a split of manifest rows
-    never opens a held-out image."""
-    return training_set(split.train_pool + split.val_pool, load)
+    train items then its validation items, each read once (see read) and
+    reduced to its training plane at once. The held-out items are never
+    read, so a split of manifest rows never opens a held-out image."""
+    items = split.train_pool + split.val_pool
+    return training_set(items, read(items, load))
 
 
 def train_protocol(split: ProtocolSplit, pool: TrainingSet,
@@ -141,13 +149,19 @@ def train_protocol(split: ProtocolSplit, pool: TrainingSet,
     return ProtocolResult(base=base, per_subject=per_subject, split=split)
 
 
-def run_protocol(samples: list[GazeSample], config: ExperimentConfig) -> ProtocolResult:
-    """Pretrain across subjects, fine-tune per subject, evaluate held-out rounds."""
-    split = partition_samples(samples, config)
-    result = train_protocol(split, load_pool(split), config)
+def run_protocol(items: list, config: ExperimentConfig, load=None) -> ProtocolResult:
+    """Pretrain across subjects, fine-tune per subject, evaluate held-out rounds.
+
+    ``items`` (samples, or manifest rows with a ``load``) are partitioned
+    first; each is then read once with ``load`` (see read): the pooled ones
+    into the training planes, each held-out round as its subject is scored.
+    """
+    split = partition_samples(items, config)
+    result = train_protocol(split, load_pool(split, load), config)
     screen = config.screen()
     for sid, heldout in sorted(result.split.heldout.items()):
-        result.reports[sid] = evaluate(result.per_subject[sid].model, heldout, screen)
+        result.reports[sid] = evaluate(result.per_subject[sid].model,
+                                       read(heldout, load), screen)
     return result
 
 

@@ -569,18 +569,19 @@ class TrainingSet:
                            self.screen_pts[ids], self.gazes[ids])
 
 
-def training_set(samples, load=None) -> TrainingSet:
+def training_set(samples, loaded=None) -> TrainingSet:
     """The training set of ``samples`` (anything with screen_pt and gaze).
-    Frame i is ``load(samples[i]).image``, or ``samples[i].image`` without
-    ``load``; each is reduced to its plane as soon as it is read, so no
-    frame is held beyond its own reduction. Every frame must have the same
-    shape, one that frame_factors accepts."""
+    Frame i is the image of the i-th sample of ``loaded``, samples[i] as it
+    was read, or ``samples[i].image`` without ``loaded``; each is reduced to
+    its plane as soon as it is read, so no frame is held beyond its own
+    reduction. Every frame must have the same shape, one that frame_factors
+    accepts."""
     n = len(samples)
     if n == 0:
         raise DataError("a training set needs at least one sample")
     planes = None
-    for i, s in enumerate(samples):
-        x = np.asarray((s if load is None else load(s)).image, dtype=float)
+    for i, s in enumerate(samples if loaded is None else loaded):
+        x = np.asarray(s.image, dtype=float)
         if planes is None:
             shape, r = x.shape, plane_factor(x.shape)
             planes = np.empty((n, shape[0] // r, shape[1] // r), dtype=np.float32)
@@ -728,22 +729,24 @@ class EvalReport:
 
 
 def evaluate(m: RegressorModel, test_set, screen: CalibratedScreen) -> EvalReport:
-    """Angular error per sample and per grid point.
+    """Angular error per sample and per grid point, over the samples of
+    ``test_set`` in order, each read once (it may be an iterator).
 
     Each sample is scored by its own one-row forward pass: a batched pass
     can round differently (BLAS gemm against gemv).
     """
-    if not test_set:
-        raise DataError("evaluation set must be non-empty")
-    errs = np.empty(len(test_set))
+    errors = []
     n_unproj = 0
     buckets: dict[tuple[int, int], list[float]] = {}
-    for i, s in enumerate(test_set):
+    for s in test_set:
         v = forward(m, downsample_image(s.image))
         if v[2] <= MIN_PROJECTABLE_Z:
             n_unproj += 1
-        errs[i] = angular_error(v, s.gaze)
-        buckets.setdefault((s.grid_i, s.grid_j), []).append(errs[i])
+        errors.append(angular_error(v, s.gaze))
+        buckets.setdefault((s.grid_i, s.grid_j), []).append(errors[-1])
+    if not errors:
+        raise DataError("evaluation set must be non-empty")
+    errs = np.array(errors)
     per_point = {k: (float(np.mean(v)), len(v)) for k, v in sorted(buckets.items())}
     return EvalReport(
         errors_deg=errs,

@@ -1,18 +1,24 @@
+import collections
 import csv
 import hashlib
 import os
 import shutil
 import subprocess
 import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from flattrack.cli import lensless, main
 from flattrack.config import ExperimentConfig
-from flattrack.errors import ConfigError
+from flattrack.errors import ConfigError, DataError
 from flattrack.manifest import read_manifest
 from flattrack.optics import load_image, load_psf, save_image
+from flattrack.pipeline import run_protocol
+from flattrack.regressor import save_model
+from flattrack.workers import IN_FLIGHT
 from oracles import psnr
 
 
@@ -37,6 +43,20 @@ def small_cfg_file(tmp_path_factory):
         cfg.set(k, v)
     cfg.save(path)
     return str(path)
+
+
+@pytest.fixture
+def counted_loads(monkeypatch):
+    """The paths of the dataset images read through the manifest."""
+    import flattrack.manifest
+    read = []
+
+    def counting_load_image(path):
+        read.append(path)
+        return load_image(path)
+
+    monkeypatch.setattr(flattrack.manifest, "load_image", counting_load_image)
+    return read
 
 
 def run(args):
@@ -274,20 +294,13 @@ def test_train_outputs_and_split_audit(pipeline_dirs):
     assert roles["heldout"] == heldout_expected
 
 
-def test_train_opens_only_the_pooled_rounds(tmp_path, pipeline_dirs, monkeypatch):
-    import flattrack.manifest
-    read = []
-
-    def recording_load_image(path):
-        read.append(os.path.relpath(path, pipeline_dirs["recon"]))
-        return load_image(path)
-
-    monkeypatch.setattr(flattrack.manifest, "load_image", recording_load_image)
+def test_train_opens_only_the_pooled_rounds(tmp_path, pipeline_dirs, counted_loads):
     out = str(tmp_path / "models")
     assert run(["train", "--in", pipeline_dirs["recon"], "--out", out]) == 0
     m = read_manifest(pipeline_dirs["recon"])
     pooled = sorted(r.image_path for r in m.rows if r.round_id != 1)
-    assert sorted(read) == pooled  # each pooled image once, no held-out one
+    read = sorted(os.path.relpath(p, m.root) for p in counted_loads)
+    assert read == pooled  # each pooled image once, no held-out one
     for name in os.listdir(out):
         if name.endswith(".ftkmdl"):
             assert sha(os.path.join(out, name)) == \
@@ -574,14 +587,136 @@ def test_lensless_measurement_depends_on_the_sample_alone(pipeline_dirs):
     scenes = read_manifest(pipeline_dirs["scenes"])
     assert scenes.config["optics.noise_sigma_rel"] > 0  # the draws are checked
     measure, _ = lensless(scenes.config, load_psf(pipeline_dirs["psf"]))
-    samples = scenes.load_samples(scenes.rows)
-    forward = {s.sample_id: measure(s).image for s in samples}
-    backward = {s.sample_id: measure(s).image for s in reversed(samples)}
-    alone = {s.sample_id: measure(s).image for s in samples[::5]}
+
+    def measured(rows):
+        return {r.sample_id: measure(scenes.load_sample(r)).image for r in rows}
+
+    forward = measured(scenes.rows)
+    backward = measured(reversed(scenes.rows))
+    alone = measured(scenes.rows[::5])
     for sid, y in forward.items():
         assert np.array_equal(y, backward[sid])
     for sid, y in alone.items():
         assert np.array_equal(y, forward[sid])
+
+
+def scene_arms(pipeline_dirs):
+    """The scene rows, the config, and compare-lensed's two loads."""
+    m = read_manifest(pipeline_dirs["scenes"])
+    measure, reconstruct = lensless(m.config, load_psf(pipeline_dirs["psf"]))
+    return m.rows, m.config, {
+        "lensed": m.load_sample,
+        "lensless": lambda row: reconstruct(measure(m.load_sample(row))),
+    }
+
+
+def protocol_bytes(result, prefix):
+    """Every model's FTKMDL bytes and every held-out report of a protocol run;
+    the models are saved at ``prefix``_<key>.ftkmdl."""
+    models = {"base": result.base.model}
+    models.update((sid, tr.model) for sid, tr in result.per_subject.items())
+    out = {}
+    for key, model in models.items():
+        path = f"{prefix}_{key}.ftkmdl"
+        save_model(model, path)
+        with open(path, "rb") as f:
+            out[key] = f.read()
+    for sid, rep in result.reports.items():
+        out[f"report_{sid}"] = (rep.errors_deg.tobytes(), rep.per_point,
+                                rep.mean_err_deg, rep.n_unprojectable)
+    return out
+
+
+@pytest.mark.parametrize("arm", ["lensed", "lensless"])
+def test_protocol_reads_each_row_once(pipeline_dirs, arm):
+    rows, cfg, loads = scene_arms(pipeline_dirs)
+    read = []
+
+    def load(row):
+        read.append(row.sample_id)
+        return loads[arm](row)
+
+    run_protocol(rows, cfg, load)
+    # The pooled rows into the training planes, the held-out ones as scored.
+    assert sorted(read) == sorted(r.sample_id for r in rows)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_protocol_over_rows_is_the_protocol_over_samples(tmp_path, pipeline_dirs,
+                                                         monkeypatch, threads):
+    monkeypatch.setenv("FLATTRACK_THREADS", threads)
+    rows, cfg, loads = scene_arms(pipeline_dirs)
+    for arm, load in loads.items():
+        in_memory = run_protocol([load(r) for r in rows], cfg)
+        streamed = run_protocol(rows, cfg, load)
+        assert protocol_bytes(streamed, tmp_path / f"{arm}_rows") == \
+            protocol_bytes(in_memory, tmp_path / arm)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_protocol_holds_at_most_the_frames_in_flight(pipeline_dirs, monkeypatch,
+                                                     threads):
+    monkeypatch.setenv("FLATTRACK_THREADS", threads)
+    rows, cfg, loads = scene_arms(pipeline_dirs)
+    assert len(rows) > 2 * IN_FLIGHT
+    lock = threading.Lock()
+    frames = []
+    most_alive = 0
+
+    def load(row):
+        nonlocal most_alive
+        s = loads["lensless"](row)
+        with lock:
+            frames.append(weakref.ref(s.image))
+            most_alive = max(most_alive, sum(f() is not None for f in frames))
+        return s
+
+    run_protocol(rows, cfg, load)
+    assert len(frames) == len(rows)
+    assert most_alive <= IN_FLIGHT
+
+
+def test_protocol_load_error_propagates_and_leaves_no_worker(pipeline_dirs,
+                                                             monkeypatch):
+    monkeypatch.setenv("FLATTRACK_THREADS", "2")
+    rows, cfg, loads = scene_arms(pipeline_dirs)
+    before = set(threading.enumerate())
+
+    def load(row):
+        if row is rows[4]:
+            raise DataError("unreadable frame")
+        return loads["lensed"](row)
+
+    with pytest.raises(DataError, match="unreadable frame"):
+        run_protocol(rows, cfg, load)
+    assert set(threading.enumerate()) <= before
+
+
+def test_compare_lensed_reads_each_scene_once_per_arm(tmp_path, pipeline_dirs,
+                                                      counted_loads):
+    assert run(["compare-lensed", "--in", pipeline_dirs["scenes"],
+                "--psf", pipeline_dirs["psf"], "--out", str(tmp_path / "c.csv")]) == 0
+    m = read_manifest(pipeline_dirs["scenes"])
+    assert collections.Counter(counted_loads) == collections.Counter(
+        {os.path.join(m.root, r.image_path): 2 for r in m.rows})
+
+
+@pytest.mark.parametrize("setting", ["train.batch_size=0", "train.lr=-1"])
+def test_compare_lensed_checks_its_training_config_before_loading(
+        tmp_path, pipeline_dirs, counted_loads, setting):
+    assert run(["compare-lensed", "--in", pipeline_dirs["scenes"],
+                "--psf", pipeline_dirs["psf"], "--out", str(tmp_path / "c.csv"),
+                "--set", setting]) == 2
+    assert counted_loads == []
+
+
+@pytest.mark.parametrize("out", ["nodir/c.csv", "."])
+def test_compare_lensed_checks_out_before_loading(tmp_path, pipeline_dirs,
+                                                  counted_loads, out):
+    assert run(["compare-lensed", "--in", pipeline_dirs["scenes"],
+                "--psf", pipeline_dirs["psf"], "--out", str(tmp_path / out)]) == 3
+    assert counted_loads == []
+    assert os.listdir(tmp_path) == []
 
 
 def test_compare_lensed_schema(tmp_path, small_cfg_file, pipeline_dirs):

@@ -1,5 +1,8 @@
 import hashlib
 import os
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from flattrack.regressor import TrainConfig
 from flattrack.report import (read_per_point_csv, write_grid_error_svg,
                               write_per_point_csv)
 from flattrack.seeds import make_rng
-from flattrack.workers import worker_count
+from flattrack.workers import IN_FLIGHT, imap, worker_count
 
 
 def small_config():
@@ -328,9 +331,50 @@ def test_worker_count_env(monkeypatch):
     assert worker_count() == 1
     monkeypatch.setenv("FLATTRACK_THREADS", "4")
     assert worker_count() == 4
-    monkeypatch.setenv("FLATTRACK_THREADS", "zebra")
-    with pytest.raises(ConfigError):
-        worker_count()
+    for bad in ("zebra", "0", "-4"):
+        monkeypatch.setenv("FLATTRACK_THREADS", bad)
+        with pytest.raises(ConfigError):
+            worker_count()
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "4"])
+def test_imap_keeps_order_and_bounds_the_results_alive(monkeypatch, threads):
+    monkeypatch.setenv("FLATTRACK_THREADS", threads)
+    lock = threading.Lock()
+    made = []
+    most_alive = 0
+
+    def load(i):
+        nonlocal most_alive
+        frame = np.full(4, float(i))
+        with lock:
+            made.append(weakref.ref(frame))
+            most_alive = max(most_alive, sum(r() is not None for r in made))
+        return frame
+
+    got = []
+    for frame in imap(load, range(40)):
+        time.sleep(0.001)  # a slow consumer lets the workers run ahead
+        got.append(float(frame[0]))
+    assert got == [float(i) for i in range(40)]
+    assert most_alive <= IN_FLIGHT
+
+
+def test_imap_error_propagates_and_stops_the_pool(monkeypatch):
+    monkeypatch.setenv("FLATTRACK_THREADS", "2")
+    before = set(threading.enumerate())
+    called = []
+
+    def load(i):
+        called.append(i)
+        if i == 5:
+            raise RuntimeError("load failed")
+        return i
+
+    with pytest.raises(RuntimeError, match="load failed"):
+        list(imap(load, range(100)))
+    assert set(threading.enumerate()) <= before
+    assert max(called) < 5 + IN_FLIGHT  # the queued items were cancelled
 
 
 # ---------------------------------------------------------------------------
