@@ -8,7 +8,6 @@ render + simulate) is prep work and is never counted in the budget.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
 
@@ -21,6 +20,7 @@ from .geometry import make_grid, screen_to_gaze
 from .optics import Psf, simulate_measurement
 from .reconstruct import wiener_deconvolve
 from .regressor import RegressorModel, downsample_image, forward
+from .report import write_table
 from .seeds import mix_seed
 
 
@@ -33,15 +33,11 @@ class BenchResult:
     frames: int
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["stage", "median_ms", "p95_ms", "mean_ms"])
-            for name, st in self.stages.items():
-                w.writerow([name, repr(st["median_ms"]), repr(st["p95_ms"]),
-                            repr(st["mean_ms"])])
-            w.writerow(["total", repr(self.total_median_ms),
-                        repr(self.total_p95_ms), ""])
-            w.writerow(["fps", repr(self.fps), "", ""])
+        write_table(path, ["stage", "median_ms", "p95_ms", "mean_ms"],
+                    [[name, st["median_ms"], st["p95_ms"], st["mean_ms"]]
+                     for name, st in self.stages.items()]
+                    + [["total", self.total_median_ms, self.total_p95_ms, ""],
+                       ["fps", self.fps, "", ""]])
 
 
 def time_stages(stages, make_input, frames: int, warmup: int) -> BenchResult:
@@ -80,15 +76,14 @@ def time_stages(stages, make_input, frames: int, warmup: int) -> BenchResult:
     )
 
 
-def run_pipeline_bench(model: RegressorModel, psf: Psf, config: ExperimentConfig,
-                       frames: int | None = None, warmup: int | None = None) -> BenchResult:
-    """Time reconstruct/downsample/regress per frame over ``frames`` warm frames.
+def run_pipeline_bench(model: RegressorModel, psf: Psf,
+                       config: ExperimentConfig) -> BenchResult:
+    """Time reconstruct/downsample/regress per frame over ``bench.frames``
+    warm frames, after ``bench.warmup`` untimed ones.
 
     Each frame is a freshly simulated measurement of a rendered eye (both
     excluded from the budget).
     """
-    frames = config["bench.frames"] if frames is None else frames
-    warmup = config["bench.warmup"] if warmup is None else warmup
     params = config.render_params()
     noise = config.noise_model()
     seed = config["seed"]
@@ -104,4 +99,4 @@ def run_pipeline_bench(model: RegressorModel, psf: Psf, config: ExperimentConfig
     return time_stages([("reconstruct", lambda y: wiener_deconvolve(y, psf, wcfg)),
                         ("downsample", downsample_image),
                         ("regress", lambda x: forward(model, x))],
-                       measurement, frames, warmup)
+                       measurement, config["bench.frames"], config["bench.warmup"])

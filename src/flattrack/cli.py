@@ -15,7 +15,6 @@ Exit codes: 0 ok, 2 config error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import fnmatch
 import os
 import sys
@@ -40,7 +39,7 @@ from .reconstruct import wiener_deconvolve
 # wrapper set on flattrack.regressor (perfbench's tracer) sees eval's calls.
 from . import regressor
 from .report import (write_grid_error_svg, write_per_point_csv,
-                     read_per_point_csv, write_subject_table_csv)
+                     read_per_point_csv, write_subject_table_csv, write_table)
 from .seeds import mix_seed
 from .workers import parallel_map
 
@@ -67,32 +66,31 @@ def _resolve_config(args, manifest: DatasetManifest | None = None) -> Experiment
     return cfg
 
 
-# The files `train` writes; --force removes them before training.
+# The files `train` and `eval` write; their --force removes these alone.
 TRAIN_OUTPUTS = ("model_*.ftkmdl", "history_*.csv", "splits.csv")
-
-
-def _remove_training_outputs(path: str) -> None:
-    """Delete the files an earlier `train` wrote under ``path``, so that no
-    model of that run outlives a new one. Other files are left alone."""
-    for name in os.listdir(path):
-        full = os.path.join(path, name)
-        if (any(fnmatch.fnmatchcase(name, pat) for pat in TRAIN_OUTPUTS)
-                and os.path.isfile(full)):
-            os.remove(full)
+EVAL_OUTPUTS = ("report.csv", "per_point.csv", "latency.csv")
 
 
 def _prepare_out_dir(path: str, force: bool, in_dir: str | None = None,
-                     remove=remove_dataset) -> None:
+                     outputs: tuple[str, ...] | None = None) -> None:
     """Create the output dir; a non-empty one needs --force, which first
-    removes what the command wrote there before (``remove``: an earlier
-    dataset by default), so no stale output outlives it."""
+    removes what the command wrote there before, so no stale output
+    outlives it: the files matching the ``outputs`` patterns, or an earlier
+    dataset when ``outputs`` is None. Other files are left alone."""
     if os.path.isdir(path) and os.listdir(path):
         if not force:
             raise DataError(f"output dir {path} exists and is not empty "
                             f"(use --force to overwrite)")
         if in_dir is not None and os.path.samefile(path, in_dir):
             raise DataError(f"output dir {path} is the input dir")
-        remove(path)
+        if outputs is None:
+            remove_dataset(path)
+        else:
+            for name in os.listdir(path):
+                full = os.path.join(path, name)
+                if (any(fnmatch.fnmatchcase(name, pat) for pat in outputs)
+                        and os.path.isfile(full)):
+                    os.remove(full)
     os.makedirs(path, exist_ok=True)
 
 
@@ -197,7 +195,7 @@ def cmd_train(args) -> int:
     # loading reduces each frame to its training plane and checks its size.
     split = partition_samples(m.rows, cfg)
     pool = load_pool(split, m.load_sample)
-    _prepare_out_dir(args.out, args.force, m.root, _remove_training_outputs)
+    _prepare_out_dir(args.out, args.force, m.root, TRAIN_OUTPUTS)
     result = train_protocol(split, pool, cfg)
     regressor.save_model(result.base.model, os.path.join(args.out, "model_base.ftkmdl"))
     result.base.write_history_csv(os.path.join(args.out, "history_base.csv"))
@@ -211,31 +209,29 @@ def cmd_train(args) -> int:
 
 
 def _write_split_audit(split, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["sample_id", "role"])
-        for s in split.train_pool:
-            w.writerow([s.sample_id, "pretrain_train"])
-        for s in split.val_pool:
-            w.writerow([s.sample_id, "pretrain_val"])
-        for sid in sorted(split.heldout):
-            for s in split.heldout[sid]:
-                w.writerow([s.sample_id, "heldout"])
+    write_table(path, ["sample_id", "role"],
+                [(s.sample_id, "pretrain_train") for s in split.train_pool]
+                + [(s.sample_id, "pretrain_val") for s in split.val_pool]
+                + [(s.sample_id, "heldout")
+                   for sid in sorted(split.heldout) for s in split.heldout[sid]])
 
 
 def cmd_eval(args) -> int:
     m = read_manifest(args.in_dir)
     cfg = _resolve_config(args, m)
-    _prepare_out_dir(args.out, args.force, m.root)
     split = partition_samples(m.rows, cfg)
+    model_paths = {sid: os.path.join(args.models, f"model_s{sid:02d}.ftkmdl")
+                   for sid in sorted(split.heldout)}
+    for sid, path in model_paths.items():
+        # Checked before --force removes the earlier report.
+        if not os.path.isfile(path):
+            raise DataError(f"missing model for subject {sid}: {path}")
+    _prepare_out_dir(args.out, args.force, m.root, EVAL_OUTPUTS)
     screen = cfg.screen()
     subject_rows = []
     reports = {}
-    for sid in sorted(split.heldout):
-        model_path = os.path.join(args.models, f"model_s{sid:02d}.ftkmdl")
-        if not os.path.isfile(model_path):
-            raise DataError(f"missing model for subject {sid}: {model_path}")
-        model = regressor.load_model(model_path)
+    for sid, path in model_paths.items():
+        model = regressor.load_model(path)
         heldout = split.heldout[sid]
         if not reports:
             timed = model, m.load_sample(heldout[0])

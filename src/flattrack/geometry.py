@@ -14,13 +14,13 @@ the projection also takes a stack of gaze vectors, shape (N, 3).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, UnprojectableGazeError
+from .report import write_table
 
 # Below this z-component a gaze ray is parallel to or facing away from the
 # screen and has no pixel image.
@@ -188,15 +188,11 @@ class GridAngularStats:
         return float(np.nanmin(self.dtheta_y_deg))
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["i", "j", "x_px", "y_px", "dtheta_x_deg", "dtheta_y_deg"])
-            for i in range(self.grid.rows):
-                for j in range(self.grid.cols):
-                    p = self.points[i * self.grid.cols + j]
-                    w.writerow([i, j, repr(float(p[0])), repr(float(p[1])),
-                                repr(float(self.dtheta_x_deg[i, j])),
-                                repr(float(self.dtheta_y_deg[i, j]))])
+        g = self.grid
+        write_table(path, ["i", "j", "x_px", "y_px", "dtheta_x_deg", "dtheta_y_deg"],
+                    ((i, j, *self.points[i * g.cols + j],
+                      self.dtheta_x_deg[i, j], self.dtheta_y_deg[i, j])
+                     for i in range(g.rows) for j in range(g.cols)))
 
 
 def grid_angular_stats(g: GridSpec, s: CalibratedScreen) -> GridAngularStats:

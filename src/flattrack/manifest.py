@@ -9,17 +9,17 @@ coherence (gaze == screen_to_gaze(screen point)) can be re-audited on load.
 from __future__ import annotations
 
 import contextlib
-import csv
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import DataError, read_lines
+from .errors import DataError
 from .eyesim import GazeSample
 from .geometry import CalibratedScreen, screen_to_gaze
 from .optics import load_image, save_image
+from .report import read_table, write_table
 
 MANIFEST_NAME = "manifest.csv"
 SIDECAR_NAME = "config.cfg"
@@ -126,15 +126,10 @@ def write_rows(root: str, rows: list[ManifestRow],
                config: ExperimentConfig) -> DatasetManifest:
     """Write the manifest CSV and sidecar config for already-saved rows."""
     os.makedirs(root, exist_ok=True)
-    with open(os.path.join(root, MANIFEST_NAME), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(_COLUMNS)
-        for r in rows:
-            w.writerow([r.sample_id, r.subject_id, r.round_id, r.grid_i, r.grid_j,
-                        r.image_path, r.stage,
-                        repr(float(r.gaze[0])), repr(float(r.gaze[1])),
-                        repr(float(r.gaze[2])),
-                        repr(float(r.screen_pt[0])), repr(float(r.screen_pt[1]))])
+    write_table(os.path.join(root, MANIFEST_NAME), _COLUMNS,
+                ((r.sample_id, r.subject_id, r.round_id, r.grid_i, r.grid_j,
+                  r.image_path, r.stage, *r.gaze.tolist(), *r.screen_pt.tolist())
+                 for r in rows))
     config.save(os.path.join(root, SIDECAR_NAME))
     return DatasetManifest(root=root, rows=rows, config=config)
 
@@ -148,13 +143,7 @@ def read_manifest(root: str, validate: bool = True) -> DatasetManifest:
         raise DataError(f"no sidecar config at {sidecar}")
     config = ExperimentConfig.load(sidecar)
     rows = []
-    reader = csv.reader(read_lines(path, DataError, newline=""))
-    header = next(reader, None)
-    if header != _COLUMNS:
-        raise DataError(f"{path}: unexpected manifest columns {header}")
-    for rec in reader:
-        if len(rec) != len(_COLUMNS):
-            raise DataError(f"{path}: bad row {rec}")
+    for rec in read_table(path, _COLUMNS):
         try:
             rows.append(ManifestRow(
                 sample_id=rec[0], subject_id=int(rec[1]), round_id=int(rec[2]),

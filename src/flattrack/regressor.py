@@ -15,13 +15,14 @@ little-endian float32 weights and cols float32 biases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, NumericalError
 from .geometry import (CalibratedScreen, angular_error, gaze_to_screen,
                        gaze_to_screen_jacobian, MIN_PROJECTABLE_Z)
+from .report import write_table
 from .seeds import make_rng, mix_seed
 
 INPUT_SIDE = 32
@@ -538,12 +539,8 @@ class TrainResult:
 
     def write_history_csv(self, path) -> None:
         """One row per epoch: the EpochStats fields, in their order."""
-        import csv
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow([f.name for f in fields(EpochStats)])
-            for row in self.history:
-                w.writerow([repr(getattr(row, f.name)) for f in fields(EpochStats)])
+        write_table(path, [f.name for f in fields(EpochStats)],
+                    map(astuple, self.history))
 
 
 @dataclass(frozen=True)

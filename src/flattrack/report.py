@@ -1,5 +1,10 @@
 """Report emission: per-grid-point error map as SVG, tables as CSV.
 
+Every CSV artifact is one table format, written by ``write_table`` and
+read by ``read_table``: UTF-8 ``csv`` records under one header, each float
+cell as its ``repr``, so that it reads back bit for bit; a malformed table
+raises DataError.
+
 SVG is written by hand (textual, diffable, no plotting dependency).
 """
 
@@ -7,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+from itertools import chain
 
 from .errors import DataError, read_lines
 
@@ -15,26 +21,51 @@ MIN_RADIUS_PX = 2.0
 MAX_RADIUS_PX = 24.0
 
 _COLUMNS = ["i", "j", "mean_err_deg", "count"]
+_PLAIN = frozenset((str, int, float))
+
+
+def write_table(path, header, rows) -> None:
+    """Write ``rows`` (sequences of cells) under ``header`` as a CSV table;
+    a ``float`` cell is written as ``repr(float(v))``, any other as ``str``."""
+    rows = list(rows)
+    # csv writes a plain float as its str, which is its repr; only a table
+    # with a cell of another type (a numpy float64, say) is converted.
+    if not _PLAIN.issuperset(map(type, chain.from_iterable(rows))):
+        rows = [[repr(float(v)) if isinstance(v, float) else v for v in row]
+                for row in rows]
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def read_table(path, columns) -> list[list[str]]:
+    """The records of the CSV table ``path``, each one string per column.
+    Bytes that are not UTF-8, text that csv cannot parse, a header other
+    than ``columns`` and a record of another length raise DataError."""
+    try:
+        reader = csv.reader(read_lines(path, DataError, newline=""), strict=True)
+        header = next(reader, None)
+        if header != list(columns):
+            raise DataError(f"{path}: unexpected columns {header}")
+        records = list(reader)
+    except csv.Error as e:
+        raise DataError(f"{path}: not a CSV table ({e})") from e
+    for rec in records:
+        if len(rec) != len(columns):
+            raise DataError(f"{path}: bad row {rec}")
+    return records
 
 
 def write_per_point_csv(per_point: dict[tuple[int, int], tuple[float, int]],
                         path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(_COLUMNS)
-        for (i, j), (err, count) in sorted(per_point.items()):
-            w.writerow([i, j, repr(float(err)), count])
+    write_table(path, _COLUMNS, ((i, j, float(err), count)
+                                 for (i, j), (err, count) in sorted(per_point.items())))
 
 
 def read_per_point_csv(path) -> dict[tuple[int, int], tuple[float, int]]:
     out: dict[tuple[int, int], tuple[float, int]] = {}
-    reader = csv.reader(read_lines(path, DataError, newline=""))
-    header = next(reader, None)
-    if header != _COLUMNS:
-        raise DataError(f"{path}: unexpected per-point columns {header}")
-    for rec in reader:
-        if len(rec) != len(_COLUMNS):
-            raise DataError(f"{path}: bad row {rec}")
+    for rec in read_table(path, _COLUMNS):
         try:
             key = (int(rec[0]), int(rec[1]))
             err, count = float(rec[2]), int(rec[3])
@@ -97,16 +128,5 @@ def write_subject_table_csv(rows: list[dict], summary: dict, path) -> None:
     if not rows:
         raise DataError("empty subject table")
     cols = list(rows[0].keys())
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(cols)
-        for r in rows:
-            w.writerow([_fmt(r[c]) for c in cols])
-        for k, v in summary.items():
-            w.writerow([k, _fmt(v)] + [""] * (len(cols) - 2))
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    write_table(path, cols, [[r[c] for c in cols] for r in rows]
+                + [[k, v] + [""] * (len(cols) - 2) for k, v in summary.items()])

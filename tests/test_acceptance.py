@@ -279,7 +279,7 @@ def test_criterion_08_latency(acceptance_config, contour_psf):
     from flattrack.bench import run_pipeline_bench
     cfg = ExperimentConfig.default()
     model = model_init(1008)
-    bench = run_pipeline_bench(model, contour_psf, cfg, frames=500, warmup=50)
+    bench = run_pipeline_bench(model, contour_psf, cfg)
     regress = bench.stages["regress"]["median_ms"]
     infer_path = (bench.stages["downsample"]["median_ms"]
                   + bench.stages["regress"]["median_ms"])

@@ -503,6 +503,56 @@ def test_per_point_csv_not_utf8_exit_code(tmp_path, pipeline_dirs, capsys):
     assert not svg.exists()
 
 
+def test_manifest_with_an_oversized_field_exit_code(tmp_path, pipeline_dirs, capsys):
+    ds = tmp_path / "recon"
+    shutil.copytree(pipeline_dirs["recon"], ds)
+    with open(ds / "manifest.csv", "a") as f:
+        f.write("x" * 200_000 + "\n")
+    assert run(["train", "--in", str(ds), "--out", str(tmp_path / "models")]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_per_point_csv_with_an_oversized_field_exit_code(tmp_path, pipeline_dirs,
+                                                         capsys):
+    path = tmp_path / "per_point.csv"
+    path.write_bytes(open(os.path.join(pipeline_dirs["eval"], "per_point.csv"), "rb").read()
+                     + b"0," + b"1" * 200_000 + b",1.0,1\n")
+    svg = tmp_path / "map.svg"
+    assert run(["grid-report", "--in", str(path), "--out", str(svg)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert not svg.exists()
+
+
+def test_eval_force_keeps_a_dataset_in_its_out_dir(tmp_path, pipeline_dirs):
+    out = tmp_path / "meas"
+    shutil.copytree(pipeline_dirs["meas"], out)
+    before = {name: sha(out / name) for name in ("manifest.csv", "config.cfg")}
+    images = {name: sha(out / "images" / name) for name in os.listdir(out / "images")}
+    assert run(["eval", "--in", pipeline_dirs["recon"], "--models",
+                pipeline_dirs["models"], "--out", str(out), "--force"]) == 0
+    assert {name: sha(out / name) for name in before} == before
+    assert {name: sha(out / "images" / name)
+            for name in os.listdir(out / "images")} == images
+    assert read_manifest(str(out)).rows
+    for name in ("report.csv", "per_point.csv"):
+        assert sha(out / name) == sha(os.path.join(pipeline_dirs["eval"], name))
+
+
+def test_eval_missing_model_exit_code(tmp_path, pipeline_dirs, counted_loads):
+    models = tmp_path / "models"
+    shutil.copytree(pipeline_dirs["models"], models)
+    os.remove(models / "model_s01.ftkmdl")
+    out = tmp_path / "eval"
+    shutil.copytree(pipeline_dirs["eval"], out)
+    before = {name: sha(out / name) for name in os.listdir(out)}
+    assert run(["eval", "--in", pipeline_dirs["recon"], "--models", str(models),
+                "--out", str(out), "--force"]) == 3
+    # Every model is checked before --force removes the earlier report and
+    # before any frame is read.
+    assert counted_loads == []
+    assert {name: sha(out / name) for name in os.listdir(out)} == before
+
+
 def test_repeated_set_flags_override_in_order(tmp_path, small_cfg_file):
     out = tmp_path / "grid.csv"
     assert run(["grid-stats", "--config", small_cfg_file, "--set", "grid.rows=5",
@@ -766,11 +816,15 @@ def test_pipeline_determinism(tmp_path, small_cfg_file):
 
 
 def test_console_entry_point(small_cfg_file, tmp_path):
+    import flattrack
     out = str(tmp_path / "g.csv")
+    # The child imports flattrack from where this process did.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(flattrack.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "flattrack.cli", "grid-stats",
          "--config", small_cfg_file, "--out", out],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert os.path.isfile(out)
 

@@ -1,11 +1,17 @@
+import contextlib
 import hashlib
+import math
 import os
+import struct
+import tempfile
 import threading
 import time
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flattrack.config import SCHEMA, ExperimentConfig
 from flattrack.errors import ConfigError, DataError
@@ -17,8 +23,8 @@ from flattrack.pipeline import (aggregate_per_point, partition_samples,
                                 seed_for_sample, split_train_val)
 from flattrack.reconstruct import WienerConfig
 from flattrack.regressor import TrainConfig
-from flattrack.report import (read_per_point_csv, write_grid_error_svg,
-                              write_per_point_csv)
+from flattrack.report import (read_per_point_csv, read_table, write_grid_error_svg,
+                              write_per_point_csv, write_table)
 from flattrack.seeds import make_rng
 from flattrack.workers import IN_FLIGHT, imap, worker_count
 
@@ -380,6 +386,86 @@ def test_imap_error_propagates_and_stops_the_pool(monkeypatch):
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)))
+_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.2250738585072e-308, math.inf, -math.inf, math.nan]))
+
+
+def _same_float(a: float, b: float) -> bool:
+    """Equal bit for bit; any NaN matches any NaN, as ``repr`` writes
+    every NaN as ``nan``."""
+    return (math.isnan(a) and math.isnan(b)) or struct.pack("<d", a) == struct.pack("<d", b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(), _TEXT, _FLOATS, _FLOATS)), st.booleans())
+def test_table_round_trip(rows, numpy_cells):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        # A numpy float64 cell is a float, and is written as one.
+        write_table(path, ["n", "s", "x", "y"],
+                    [(n, s, x, np.float64(y) if numpy_cells else y)
+                     for n, s, x, y in rows])
+        back = read_table(path, ["n", "s", "x", "y"])
+    assert len(back) == len(rows)
+    for rec, (n, s, x, y) in zip(back, rows):
+        assert int(rec[0]) == n and rec[1] == s
+        assert _same_float(float(rec[2]), x) and _same_float(float(rec[3]), y)
+
+
+@pytest.mark.parametrize("text, match", [
+    (b"a,c\r\n1,2\r\n", "unexpected columns"),
+    (b"", "unexpected columns"),
+    (b"a,b\r\n1,2,3\r\n", "bad row"),
+    (b"a,b\r\n1\r\n", "bad row"),
+    (b"a,b\r\n\r\n", "bad row"),
+    (b"a,b\r\n1,\xff\r\n", "not UTF-8"),
+    (b"a,b\r\n1,\"2\r\n", "not a CSV table"),
+    (b"a,b\r\n1,\"2\"x\r\n", "not a CSV table"),
+    (b"a,b\r\n1,2" + b"0" * 200_000 + b"\r\n", "not a CSV table"),
+])
+def test_read_table_rejects_malformed_tables(tmp_path, text, match):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text)
+    with pytest.raises(DataError, match=match):
+        read_table(path, ["a", "b"])
+
+
+_MANIFEST_HEADER = (b"sample_id,subject_id,round_id,grid_i,grid_j,image_path,stage,"
+                    b"gaze_x,gaze_y,gaze_z,screen_x_px,screen_y_px\r\n")
+_PER_POINT_HEADER = b"i,j,mean_err_deg,count\r\n"
+
+
+def _csv_bytes(header: bytes):
+    """Any bytes, any bytes after a table's header, and rows of the
+    characters a table is made of."""
+    rows = st.text(st.sampled_from('0123456789.,-+"einfa_/sgm \r\n\x00'))
+    return st.one_of(st.binary(), st.binary().map(lambda b: header + b),
+                     rows.map(lambda t: header + t.encode()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_bytes(_MANIFEST_HEADER))
+def test_manifest_parser_fails_closed(data):
+    with tempfile.TemporaryDirectory() as root:
+        small_config().save(os.path.join(root, "config.cfg"))
+        with open(os.path.join(root, "manifest.csv"), "wb") as f:
+            f.write(data)
+        with contextlib.suppress(DataError):
+            read_manifest(root)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_bytes(_PER_POINT_HEADER))
+def test_per_point_parser_fails_closed(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "per_point.csv")
+        with open(path, "wb") as f:
+            f.write(data)
+        with contextlib.suppress(DataError):
+            read_per_point_csv(path)
+
 
 def test_per_point_csv_round_trip(tmp_path):
     table = {(0, 0): (1.5, 3), (0, 1): (0.5, 3), (1, 0): (2.25, 2), (1, 1): (0.0, 4)}

@@ -11,8 +11,9 @@ and 4, each command in a fresh interpreter with BLAS pinned to one thread:
 - a chain the size of the benchmark's cli-chain (6x6 grid, 128x128
   frames, 2 subjects x 3 rounds, 5 epochs, ``eval --psf``).
 
-Each pipeline ends with ``compare-lensed`` on its scenes, which trains on
-the clean scenes and on their simulated reconstructions.
+Each pipeline also writes the grid's angular layout with ``grid-stats``,
+and ends with ``compare-lensed`` on its scenes, which trains on the clean
+scenes and on their simulated reconstructions.
 
 It prints every artifact whose sha256 differs between the two trees, with a
 diff when both sides are text. It also compares the working tree with
@@ -68,6 +69,7 @@ def steps(cfg: str, out: str, eval_psf: bool) -> list[list[str]]:
     psf = os.path.join(out, "psf.fltimg")
     return [
         ["gen-psf", "--config", cfg, "--out", psf],
+        ["grid-stats", "--config", cfg, "--out", os.path.join(out, "grid_stats.csv")],
         ["render-dataset", "--config", cfg, "--out", d["scenes"]],
         ["simulate", "--in", d["scenes"], "--psf", psf, "--out", d["meas"]],
         ["reconstruct", "--in", d["meas"], "--psf", psf, "--out", d["recon"]],
