@@ -94,6 +94,19 @@ def _prepare_out_dir(path: str, force: bool, in_dir: str | None = None,
     os.makedirs(path, exist_ok=True)
 
 
+def _prepare_out_file(path: str, force: bool) -> None:
+    """Check that a command may write its one output file at ``path``: its
+    directory exists, it is no directory itself, and an existing file is
+    replaced only with --force."""
+    out_dir = os.path.dirname(path) or "."
+    if not os.path.isdir(out_dir):
+        raise DataError(f"no directory {out_dir} for --out {path}")
+    if os.path.isdir(path):
+        raise DataError(f"--out {path} is a directory")
+    if os.path.lexists(path) and not force:
+        raise DataError(f"output file {path} exists (use --force to overwrite)")
+
+
 def lensless(cfg: ExperimentConfig, psf: Psf):
     """The camera of ``cfg`` and ``psf`` as two sample maps, (measure,
     reconstruct): a scene sample to its measurement, with noise seeded by
@@ -120,6 +133,7 @@ def lensless(cfg: ExperimentConfig, psf: Psf):
 
 def cmd_gen_psf(args) -> int:
     cfg = _resolve_config(args)
+    _prepare_out_file(args.out, args.force)
     psf = generate_contour_psf(cfg["optics.psf_h"], cfg["optics.psf_w"],
                                cfg.psf_params(), mix_seed(cfg["seed"], TAG_GENPSF))
     save_psf(psf, args.out)
@@ -277,6 +291,7 @@ def _write_eval_latency(model, sample, cfg, args) -> None:
 
 def cmd_grid_stats(args) -> int:
     cfg = _resolve_config(args)
+    _prepare_out_file(args.out, args.force)
     stats = grid_angular_stats(cfg.grid(), cfg.screen())
     stats.write_csv(args.out)
     print(f"grid stats: min dx {stats.min_spacing_x_deg:.3f} deg, "
@@ -285,6 +300,7 @@ def cmd_grid_stats(args) -> int:
 
 
 def cmd_grid_report(args) -> int:
+    _prepare_out_file(args.out, args.force)
     per_point = read_per_point_csv(args.in_path)
     write_grid_error_svg(per_point, args.out)
     print(f"grid report: {len(per_point)} points -> {args.out}")
@@ -301,11 +317,7 @@ def cmd_compare_lensed(args) -> int:
     # Checked before any frame is loaded.
     cfg.train_config()
     cfg.train_config(finetune=True)
-    out_dir = os.path.dirname(args.out) or "."
-    if not os.path.isdir(out_dir):
-        raise DataError(f"no directory {out_dir} for --out {args.out}")
-    if os.path.isdir(args.out):
-        raise DataError(f"--out {args.out} is a directory")
+    _prepare_out_file(args.out, args.force)
     measure, reconstruct = lensless(cfg, psf)
     # Identical seeds in both arms: only the image pathway differs. Each arm
     # reads every row once, as it trains or scores it.
@@ -331,6 +343,7 @@ def cmd_compare_lensed(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _resolve_config(args)
+    _prepare_out_file(args.out, args.force)
     model = regressor.load_model(args.model)
     psf = load_psf(args.psf)
     result = run_pipeline_bench(model, psf, cfg)
@@ -382,7 +395,8 @@ COMMON = [
     _arg("--set", action="append", metavar="KEY=VALUE",
          help="override any config key (repeatable)"),
     _arg("--force", action="store_true",
-         help="overwrite non-empty output directories"),
+         help="overwrite non-empty output directories and existing "
+              "output files"),
 ]
 
 

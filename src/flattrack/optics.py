@@ -25,7 +25,7 @@ from .seeds import make_rng
 MAX_DIM = 1 << 16
 
 _FLTIMG_MAGIC = "FLTIMG"
-_FLTIMG_VERSION = 1
+_VERSION = 1  # of FLTIMG and FTKMDL (regressor), written after the magic
 
 # Per-thread FFT buffers (see _fft_workspace). A fresh 256x129 complex
 # spectrum (528 KiB) is above glibc's 128 KiB mmap threshold, so a call that
@@ -274,19 +274,56 @@ def spectral_flatness_ratio(p: Psf) -> float:
 
 
 # ---------------------------------------------------------------------------
-# FLTIMG io
+# float32 array files: FLTIMG here, FTKMDL in regressor
 # ---------------------------------------------------------------------------
 
 def as_float32(x, name: str = "image") -> np.ndarray:
-    """``x`` as FLTIMG stores it: contiguous little-endian float32, cast
-    only when it is not that already. Finiteness is checked after the cast,
-    so a value beyond float32's range raises NumericalError here."""
+    """``x`` as FLTIMG and FTKMDL store it: contiguous little-endian float32,
+    cast only when it is not that already. Finiteness is checked after the
+    cast, so a value beyond float32's range raises NumericalError here."""
     with np.errstate(over="ignore"):  # an overflow raises below instead
         xa = np.ascontiguousarray(x, dtype="<f4")
     if not np.all(np.isfinite(xa)):
         raise NumericalError(f"{name} contains values that are not finite "
                              f"in float32")
     return xa
+
+
+def _read_header(f, path, what: str, count: int,
+                 magic: str | None = None) -> list[int]:
+    """The ``count`` integers of the next line of ``f``, ASCII of at most 64
+    bytes led by the token ``<magic>1`` if given; else FormatError."""
+    line = f.readline(64)
+    if not line.endswith(b"\n"):
+        raise FormatError(f"{path}: missing {what} terminator")
+    parts = line.decode("ascii", errors="replace").split()
+    if magic is not None:
+        if not parts or not parts[0].startswith(magic):
+            raise FormatError(f"{path}: bad {what} {line!r}")
+        version = parts.pop(0)[len(magic):]
+        if version != str(_VERSION):
+            raise FormatError(f"{path}: unsupported {magic} version {version!r}")
+    if len(parts) != count:
+        raise FormatError(f"{path}: bad {what} {line!r}")
+    try:
+        return [int(p) for p in parts]
+    except ValueError as e:
+        raise FormatError(f"{path}: non-integer value in {what}") from e
+
+
+def _read_f32(f, path, shape: tuple[int, int], what: str) -> np.ndarray:
+    """The next little-endian float32 values of ``f`` in a new array of
+    ``shape``, all finite. The file's size is checked before allocating:
+    a header may claim gigabytes."""
+    n = 4 * shape[0] * shape[1]
+    if os.fstat(f.fileno()).st_size - f.tell() < n:
+        raise FormatError(f"{path}: truncated or oversized {what}")
+    data = np.empty(shape, dtype="<f4")
+    if f.readinto(data) != n:
+        raise FormatError(f"{path}: truncated or oversized {what}")
+    if not np.all(np.isfinite(data)):
+        raise FormatError(f"{path}: non-finite {what}")
+    return data
 
 
 def save_image(x, path) -> None:
@@ -300,7 +337,7 @@ def save_image(x, path) -> None:
         raise ConfigError("image must be a non-empty 2D array")
     xa = as_float32(xa)
     with open(path, "wb") as f:
-        f.write(f"{_FLTIMG_MAGIC}{_FLTIMG_VERSION} {xa.shape[0]} {xa.shape[1]}\n".encode("ascii"))
+        f.write(f"{_FLTIMG_MAGIC}{_VERSION} {xa.shape[0]} {xa.shape[1]}\n".encode("ascii"))
         f.write(xa)
 
 
@@ -312,29 +349,12 @@ def load_image(path) -> np.ndarray:
     Every kernel computes in float64; the conversion is exact.
     """
     with open(path, "rb") as f:
-        header = f.readline(64)
-        if not header.endswith(b"\n"):
-            raise FormatError(f"{path}: missing FLTIMG header terminator")
-        parts = header.decode("ascii", errors="replace").split()
-        if len(parts) != 3 or not parts[0].startswith(_FLTIMG_MAGIC):
-            raise FormatError(f"{path}: bad FLTIMG header {header!r}")
-        version = parts[0][len(_FLTIMG_MAGIC):]
-        if version != str(_FLTIMG_VERSION):
-            raise FormatError(f"{path}: unsupported FLTIMG version {version!r}")
-        try:
-            h, w = int(parts[1]), int(parts[2])
-        except ValueError as e:
-            raise FormatError(f"{path}: non-integer dims in header") from e
+        h, w = _read_header(f, path, "FLTIMG header", 2, _FLTIMG_MAGIC)
         if h <= 0 or w <= 0 or h > MAX_DIM or w > MAX_DIM:
             raise FormatError(f"{path}: implausible dims {h}x{w}")
-        # Checked before allocating: a header may claim gigabytes.
-        if os.fstat(f.fileno()).st_size - f.tell() != 4 * h * w:
+        data = _read_f32(f, path, (h, w), "payload")
+        if f.read(1):
             raise FormatError(f"{path}: truncated or oversized payload")
-        data = np.empty((h, w), dtype="<f4")
-        if f.readinto(data) != data.nbytes or f.read(1):
-            raise FormatError(f"{path}: truncated or oversized payload")
-    if not np.all(np.isfinite(data)):
-        raise FormatError(f"{path}: non-finite samples")
     return data
 
 

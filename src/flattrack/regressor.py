@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ConfigError, DataError, FormatError, NumericalError
 from .geometry import (CalibratedScreen, angular_error, gaze_to_screen,
                        gaze_to_screen_jacobian, MIN_PROJECTABLE_Z)
+from .optics import _VERSION, _read_f32, _read_header, as_float32
 from .report import write_table
 from .seeds import make_rng, mix_seed
 
@@ -32,7 +33,6 @@ _NORM_FLOOR = 1e-12
 _FALLBACK = np.array([0.0, 0.0, 1.0])
 
 _FTKMDL_MAGIC = "FTKMDL"
-_FTKMDL_VERSION = 1
 
 
 @dataclass
@@ -759,52 +759,33 @@ def evaluate(m: RegressorModel, test_set, screen: CalibratedScreen) -> EvalRepor
 # ---------------------------------------------------------------------------
 
 def save_model(m: RegressorModel, path) -> None:
+    """Write ``m`` as FTKMDL. Each layer, its weights stacked over its
+    biases, is cast (as_float32) and checked before the file is opened."""
+    layers = [as_float32(np.vstack((w, b)), f"layer {k}")
+              for k, (w, b) in enumerate(zip(m.weights, m.biases))]
     with open(path, "wb") as f:
-        f.write(f"{_FTKMDL_MAGIC}{_FTKMDL_VERSION} {m.n_layers}\n".encode("ascii"))
-        for w, b in zip(m.weights, m.biases):
-            f.write(f"{w.shape[0]} {w.shape[1]}\n".encode("ascii"))
-            f.write(w.astype("<f4").tobytes())
-            f.write(b.astype("<f4").tobytes())
+        f.write(f"{_FTKMDL_MAGIC}{_VERSION} {len(layers)}\n".encode("ascii"))
+        for wb in layers:
+            f.write(f"{wb.shape[0] - 1} {wb.shape[1]}\n".encode("ascii"))
+            f.write(wb)
 
 
 def load_model(path) -> RegressorModel:
     with open(path, "rb") as f:
-        header = f.readline(64)
-        parts = header.decode("ascii", errors="replace").split()
-        if len(parts) != 2 or not parts[0].startswith(_FTKMDL_MAGIC):
-            raise FormatError(f"{path}: bad FTKMDL header {header!r}")
-        version = parts[0][len(_FTKMDL_MAGIC):]
-        if version != str(_FTKMDL_VERSION):
-            raise FormatError(f"{path}: unsupported FTKMDL version {version!r}")
-        try:
-            n_layers = int(parts[1])
-        except ValueError as e:
-            raise FormatError(f"{path}: bad layer count") from e
+        (n_layers,) = _read_header(f, path, "FTKMDL header", 1, _FTKMDL_MAGIC)
         if not (1 <= n_layers <= 64):
             raise FormatError(f"{path}: implausible layer count {n_layers}")
         weights, biases = [], []
         for k in range(n_layers):
-            dims = f.readline(64).decode("ascii", errors="replace").split()
-            if len(dims) != 2:
-                raise FormatError(f"{path}: bad dims line for layer {k}")
-            try:
-                rows, cols = int(dims[0]), int(dims[1])
-            except ValueError as e:
-                raise FormatError(f"{path}: non-integer dims for layer {k}") from e
+            rows, cols = _read_header(f, path, f"layer {k} dims line", 2)
             if rows <= 0 or cols <= 0 or rows * cols > (1 << 26):
                 raise FormatError(f"{path}: implausible dims {rows}x{cols}")
             if weights and rows != weights[-1].shape[1]:
                 raise FormatError(f"{path}: layer {k} input dim breaks the chain")
-            wraw = f.read(4 * rows * cols)
-            braw = f.read(4 * cols)
-            if len(wraw) != 4 * rows * cols or len(braw) != 4 * cols:
-                raise FormatError(f"{path}: truncated layer {k}")
-            w = np.frombuffer(wraw, dtype="<f4").reshape(rows, cols).astype(float)
-            b = np.frombuffer(braw, dtype="<f4").astype(float)
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise FormatError(f"{path}: non-finite parameters in layer {k}")
-            weights.append(w)
-            biases.append(b)
+            wb = _read_f32(f, path, (rows + 1, cols),
+                           f"parameters in layer {k}").astype(float)
+            weights.append(wb[:-1])
+            biases.append(wb[-1])
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after last layer")
     ends = (weights[0].shape[0], weights[-1].shape[1])

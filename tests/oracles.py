@@ -148,3 +148,22 @@ def fov(extent_px: float, axis: str, s: CalibratedScreen) -> float:
         raise ConfigError(f"axis must be 'x' or 'y', got {axis!r}")
     half_mm = extent_px * s.monitor.pixel_pitch_mm / 2.0
     return 2.0 * math.degrees(math.atan(half_mm / s.monitor.distance_mm))
+
+
+# ---------------------------------------------------------------------------
+# file formats
+# ---------------------------------------------------------------------------
+
+def fltimg_bytes(image) -> bytes:
+    """FLTIMG bytes of a 2D array, written as the format describes them."""
+    a = np.asarray(image, dtype="<f4")
+    return b"FLTIMG1 %d %d\n" % a.shape + a.tobytes()
+
+
+def ftkmdl_bytes(weights, biases) -> bytes:
+    """FTKMDL bytes of the given layers, written as the format describes them."""
+    out = b"FTKMDL1 %d\n" % len(weights)
+    for w, b in zip(weights, biases):
+        out += (b"%d %d\n" % w.shape + np.asarray(w, dtype="<f4").tobytes()
+                + np.asarray(b, dtype="<f4").tobytes())
+    return out

@@ -5,20 +5,23 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from flattrack.cli import lensless, main
 from flattrack.config import ExperimentConfig
-from flattrack.errors import ConfigError, DataError
+from flattrack.errors import ConfigError, DataError, FormatError
 from flattrack.manifest import read_manifest
 from flattrack.optics import load_image, load_psf, save_image
 from flattrack.pipeline import run_protocol
-from flattrack.regressor import save_model
+from flattrack.regressor import load_model, save_model
 from flattrack.workers import IN_FLIGHT
+import fuzz
 from oracles import psnr
 
 
@@ -456,6 +459,79 @@ def test_model_with_wrong_endpoint_dims_exit_code(tmp_path, pipeline_dirs, dims)
     (models / "model_s00.ftkmdl").write_bytes(data)
     assert run(["eval", "--in", pipeline_dirs["recon"], "--models", str(models),
                 "--out", str(tmp_path / "eval")]) == 3
+
+
+# Each input that its parser rejects is rejected through the CLI with the
+# parser's exit code, before the command writes its output.
+@settings(max_examples=100, deadline=None)
+@given(data=fuzz.FLTIMG)
+def test_corrupt_psf_exit_code(pipeline_dirs, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        psf, out = os.path.join(tmp, "psf.fltimg"), os.path.join(tmp, "meas")
+        with open(psf, "wb") as f:
+            f.write(data)
+        try:
+            load_psf(psf)
+        except FormatError:
+            assert run(["simulate", "--in", pipeline_dirs["scenes"], "--psf", psf,
+                        "--out", out]) == 3
+            assert not os.path.exists(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=fuzz.FTKMDL)
+def test_corrupt_model_exit_code(pipeline_dirs, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        models = os.path.join(tmp, "models")
+        shutil.copytree(pipeline_dirs["models"], models)
+        path = os.path.join(models, "model_s00.ftkmdl")
+        with open(path, "wb") as f:
+            f.write(data)
+        try:
+            load_model(path)
+        except FormatError:
+            assert run(["eval", "--in", pipeline_dirs["recon"], "--models", models,
+                        "--out", os.path.join(tmp, "eval")]) == 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=fuzz.CONFIG)
+def test_corrupt_config_exit_code(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "exp.cfg"), os.path.join(tmp, "grid.csv")
+        with open(path, "wb") as f:
+            f.write(data)
+        try:
+            ExperimentConfig.load(path)
+        except ConfigError:
+            assert run(["grid-stats", "--config", path, "--out", out]) == 2
+            assert not os.path.exists(out)
+
+
+def _single_file_command(name, d, cfg):
+    """The arguments, without --out, of a command that writes one file."""
+    return {
+        "gen-psf": ["gen-psf", "--config", cfg],
+        "grid-stats": ["grid-stats", "--config", cfg],
+        "grid-report": ["grid-report", "--in", os.path.join(d["eval"], "per_point.csv")],
+        "compare-lensed": ["compare-lensed", "--in", d["scenes"], "--psf", d["psf"]],
+        "bench": ["bench", "--model", os.path.join(d["models"], "model_s00.ftkmdl"),
+                  "--psf", d["psf"], "--config", cfg],
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["gen-psf", "grid-stats", "grid-report",
+                                  "compare-lensed", "bench"])
+def test_single_file_output_is_replaced_only_with_force(
+        tmp_path, pipeline_dirs, small_cfg_file, counted_loads, name):
+    out = tmp_path / "out"
+    out.write_bytes(b"earlier")
+    argv = _single_file_command(name, pipeline_dirs, small_cfg_file) + ["--out", str(out)]
+    assert run(argv) == 3
+    assert out.read_bytes() == b"earlier"
+    assert counted_loads == []  # refused before any frame is read
+    assert run(argv + ["--force"]) == 0
+    assert out.read_bytes() != b"earlier"
 
 
 def test_grid_stats_cmd(tmp_path, small_cfg_file):

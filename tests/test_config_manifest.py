@@ -27,6 +27,7 @@ from flattrack.report import (read_per_point_csv, read_table, write_grid_error_s
                               write_per_point_csv, write_table)
 from flattrack.seeds import make_rng
 from flattrack.workers import IN_FLIGHT, imap, worker_count
+import fuzz
 
 
 def small_config():
@@ -465,6 +466,24 @@ def test_per_point_parser_fails_closed(data):
             f.write(data)
         with contextlib.suppress(DataError):
             read_per_point_csv(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz.CONFIG)
+def test_config_parser_fails_closed(data):
+    # A ConfigError, or a config whose every value has its key's type and
+    # every float is finite.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "exp.cfg")
+        with open(path, "wb") as f:
+            f.write(data)
+        try:
+            cfg = ExperimentConfig.load(path)
+        except ConfigError:
+            return
+    for key, (typ, _) in SCHEMA.items():
+        assert isinstance(cfg[key], typ)
+        assert typ is not float or math.isfinite(cfg[key])
 
 
 def test_per_point_csv_round_trip(tmp_path):

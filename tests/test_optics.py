@@ -1,5 +1,7 @@
 import hashlib
+import os
 import sys
+import tempfile
 import threading
 
 import numpy as np
@@ -15,7 +17,8 @@ from flattrack.optics import (ContourPsfParams, NoiseModel, Psf,
                               simulate_measurement, spectral_flatness_ratio)
 from flattrack.workers import parallel_map
 from flattrack.seeds import mix_seed, splitmix64
-from oracles import convolve_direct
+import fuzz
+from oracles import convolve_direct, fltimg_bytes
 
 
 def rel_err(a, b):
@@ -319,6 +322,7 @@ def test_fltimg_round_trip_bit_exact(tmp_path):
     path = tmp_path / "img.fltimg"
     save_image(x, path)
     first = path.read_bytes()
+    assert first == fltimg_bytes(x)
     back = load_image(path)
     assert np.array_equal(back, x)
     save_image(back, path)
@@ -390,6 +394,30 @@ def test_save_image_rejects_values_beyond_float32(tmp_path):
         with pytest.raises(NumericalError):
             save_image(x, path)
         assert not path.exists()
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz.FLTIMG)
+def test_fltimg_parsers_fail_closed(data):
+    # A FormatError, or a finite image that the payload after its header
+    # line holds exactly (and a PSF only from a nonnegative one).
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.fltimg")
+        with open(path, "wb") as f:
+            f.write(data)
+        try:
+            image = load_image(path)
+        except FormatError:
+            image = None
+        else:
+            assert np.all(np.isfinite(image))
+            assert data[data.index(b"\n") + 1:] == image.tobytes()
+        try:
+            psf = load_psf(path)
+        except FormatError:
+            assert image is None or np.any(image < 0)
+        else:
+            assert image is not None and np.array_equal(psf.data, image)
 
 
 def test_load_psf_rejects_negative_values(tmp_path):

@@ -1,8 +1,11 @@
 import csv
 import dataclasses
 import math
+import os
+import tempfile
 import threading
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,7 +28,8 @@ from flattrack.regressor import (ARCH, AdamState, AffineRanges, EpochStats,
                                  _draw_affine, _prepare_inputs, _warp_scratch,
                                  _warp_stack)
 from flattrack.seeds import mix_seed
-from oracles import batch_loss, loss_l1
+import fuzz
+from oracles import batch_loss, ftkmdl_bytes, loss_l1
 
 SCREEN = CalibratedScreen()
 GRID_9 = GridSpec(rows=3, cols=3, spacing_x_px=300, spacing_y_px=200,
@@ -798,6 +802,7 @@ def test_model_round_trip_bit_exact(tmp_path):
     path = tmp_path / "model.ftkmdl"
     save_model(m, path)
     first = path.read_bytes()
+    assert first == ftkmdl_bytes(m.weights, m.biases)
     back = load_model(path)
     save_model(back, path)
     assert path.read_bytes() == first
@@ -831,10 +836,8 @@ def test_model_load_errors(tmp_path):
 
 def _chained_model_bytes(dims):
     """FTKMDL bytes of a well-formed zero model with the given layer dims."""
-    out = f"FTKMDL1 {len(dims) - 1}\n".encode()
-    for rows, cols in zip(dims[:-1], dims[1:]):
-        out += f"{rows} {cols}\n".encode() + np.zeros(rows * cols + cols, "<f4").tobytes()
-    return out
+    return ftkmdl_bytes([np.zeros(s) for s in zip(dims[:-1], dims[1:])],
+                        [np.zeros(cols) for cols in dims[1:]])
 
 
 # Well-formed files whose input is not 32*32 values or whose output is not
@@ -855,9 +858,54 @@ def test_model_load_rejects_non_finite_weights(tmp_path, bad, layer):
     m = model_init(24)
     m.weights[layer][0, 1] = bad  # after validation, as a corrupt file would
     path = tmp_path / "bad.ftkmdl"
-    save_model(m, path)
+    # save_model refuses such a model, so the file is written by hand.
+    path.write_bytes(ftkmdl_bytes(m.weights, m.biases))
     with pytest.raises(FormatError, match="non-finite"):
         load_model(path)
+
+
+def test_load_model_checks_the_payload_size_before_allocating(tmp_path):
+    # A layer header that claims 256 MiB, in a file of 20 bytes.
+    path = tmp_path / "big.ftkmdl"
+    path.write_bytes(b"FTKMDL1 1\n8192 8192\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="truncated or oversized"):
+            load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_save_model_rejects_values_beyond_float32(tmp_path):
+    # Finite in float64, infinite once cast: load_model would reject the file.
+    m = model_init(1)
+    m.weights[2][0, 0] = 1e39
+    path = tmp_path / "big.ftkmdl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning from the cast
+        with pytest.raises(NumericalError, match="layer 2"):
+            save_model(m, path)
+    assert not path.exists()
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz.FTKMDL)
+def test_model_parser_fails_closed(data):
+    # A FormatError, or a finite model of ARCH's end dims that saves back
+    # to a file of the same size.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.ftkmdl")
+        with open(path, "wb") as f:
+            f.write(data)
+        try:
+            m = load_model(path)
+        except FormatError:
+            return
+        assert (m.dims[0], m.dims[-1]) == (ARCH[0], ARCH[-1])
+        save_model(m, path)
+        assert os.path.getsize(path) == len(data)
 
 
 def test_train_config_validation():
