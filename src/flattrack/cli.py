@@ -234,18 +234,19 @@ def cmd_eval(args) -> int:
     m = read_manifest(args.in_dir)
     cfg = _resolve_config(args, m)
     split = partition_samples(m.rows, cfg)
-    model_paths = {sid: os.path.join(args.models, f"model_s{sid:02d}.ftkmdl")
-                   for sid in sorted(split.heldout)}
-    for sid, path in model_paths.items():
-        # Checked before --force removes the earlier report.
+    # Every model is loaded, so a missing or corrupt one is found, before
+    # --force removes the earlier report.
+    models = {}
+    for sid in sorted(split.heldout):
+        path = os.path.join(args.models, f"model_s{sid:02d}.ftkmdl")
         if not os.path.isfile(path):
             raise DataError(f"missing model for subject {sid}: {path}")
+        models[sid] = regressor.load_model(path)
     _prepare_out_dir(args.out, args.force, m.root, EVAL_OUTPUTS)
     screen = cfg.screen()
     subject_rows = []
     reports = {}
-    for sid, path in model_paths.items():
-        model = regressor.load_model(path)
+    for sid, model in models.items():
         heldout = split.heldout[sid]
         if not reports:
             timed = model, m.load_sample(heldout[0])
@@ -320,16 +321,17 @@ def cmd_compare_lensed(args) -> int:
     _prepare_out_file(args.out, args.force)
     measure, reconstruct = lensless(cfg, psf)
     # Identical seeds in both arms: only the image pathway differs. Each arm
-    # reads every row once, as it trains or scores it.
-    res_lensed = run_protocol(scene_rows, cfg, m.load_sample)
-    res_lensless = run_protocol(
-        scene_rows, cfg, lambda row: reconstruct(measure(m.load_sample(row))))
+    # reads every row once, as it trains or scores it; the two arms are
+    # independent, so they fan out.
+    lensed_reports, lensless_reports = parallel_map(
+        lambda load: run_protocol(scene_rows, cfg, load).reports,
+        [m.load_sample, lambda row: reconstruct(measure(m.load_sample(row)))])
     rows = []
-    for sid in sorted(res_lensed.reports):
+    for sid in sorted(lensed_reports):
         rows.append({
             "subject": sid,
-            "lensed_deg": res_lensed.reports[sid].mean_err_deg,
-            "lensless_deg": res_lensless.reports[sid].mean_err_deg,
+            "lensed_deg": lensed_reports[sid].mean_err_deg,
+            "lensless_deg": lensless_reports[sid].mean_err_deg,
         })
     gaps = [abs(r["lensed_deg"] - r["lensless_deg"]) for r in rows]
     summary = {"max_abs_gap_deg": float(np.max(gaps))}

@@ -20,7 +20,7 @@ from .eyesim import GazeSample
 from .regressor import (EvalReport, TrainingSet, TrainResult, evaluate,
                         fine_tune, model_init, train, training_set)
 from .seeds import make_rng, mix_seed
-from .workers import imap
+from .workers import parallel_map
 
 # Purpose tags for derived seeds (stable across releases).
 TAG_SIMULATE = 0x51B
@@ -109,9 +109,9 @@ class ProtocolResult:
 
 def read(items, load=None):
     """``items`` in order, each read once with ``load(item)`` (or taken as
-    it is), fanned out by workers.imap: a list of manifest rows is read
-    without holding all of its frames."""
-    return iter(items) if load is None else imap(load, items)
+    it is) on the calling process as it is consumed: a list of manifest
+    rows is read without holding all of its frames."""
+    return iter(items) if load is None else map(load, items)
 
 
 def load_pool(split: ProtocolSplit, load=None) -> TrainingSet:
@@ -128,7 +128,8 @@ def train_protocol(split: ProtocolSplit, pool: TrainingSet,
     """Pretrain on the pooled rounds, then fine-tune a copy per subject.
 
     ``pool`` is load_pool(split): every set trained on is cut from its one
-    plane stack. The held-out rounds are never read.
+    plane stack. The held-out rounds are never read. The fine-tunes are
+    independent, so they run through workers.parallel_map.
     """
     row = {it.sample_id: i for i, it in enumerate(split.train_pool + split.val_pool)}
 
@@ -140,12 +141,15 @@ def train_protocol(split: ProtocolSplit, pool: TrainingSet,
     base = train(model_init(master), cut(split.train_pool), cut(split.val_pool),
                  config.train_config(seed=mix_seed(master, TAG_PRETRAIN)),
                  screen)
-    per_subject: dict[int, TrainResult] = {}
-    for sid in sorted(split.heldout):
+
+    def one(sid):
         tr, va = split.per_subject[sid]
         cfg_ft = config.train_config(seed=mix_seed(master, TAG_FINETUNE, sid),
                                      finetune=True)
-        per_subject[sid] = fine_tune(base.model, cut(tr), cut(va), cfg_ft, screen)
+        return fine_tune(base.model, cut(tr), cut(va), cfg_ft, screen)
+
+    sids = sorted(split.heldout)
+    per_subject = dict(zip(sids, parallel_map(one, sids)))
     return ProtocolResult(base=base, per_subject=per_subject, split=split)
 
 

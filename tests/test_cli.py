@@ -20,7 +20,6 @@ from flattrack.manifest import read_manifest
 from flattrack.optics import load_image, load_psf, save_image
 from flattrack.pipeline import run_protocol
 from flattrack.regressor import load_model, save_model
-from flattrack.workers import IN_FLIGHT
 import fuzz
 from oracles import psnr
 
@@ -49,17 +48,20 @@ def small_cfg_file(tmp_path_factory):
 
 
 @pytest.fixture
-def counted_loads(monkeypatch):
-    """The paths of the dataset images read through the manifest."""
+def counted_loads(monkeypatch, tmp_path_factory):
+    """counted_loads(): the paths of the dataset images read through the
+    manifest, by this process or by its workers."""
     import flattrack.manifest
-    read = []
+    log = tmp_path_factory.mktemp("loads") / "loads.txt"
+    log.touch()
 
     def counting_load_image(path):
-        read.append(path)
+        with open(log, "a") as f:  # one appending write per line
+            f.write(f"{path}\n")
         return load_image(path)
 
     monkeypatch.setattr(flattrack.manifest, "load_image", counting_load_image)
-    return read
+    return lambda: log.read_text().splitlines()
 
 
 def run(args):
@@ -302,7 +304,7 @@ def test_train_opens_only_the_pooled_rounds(tmp_path, pipeline_dirs, counted_loa
     assert run(["train", "--in", pipeline_dirs["recon"], "--out", out]) == 0
     m = read_manifest(pipeline_dirs["recon"])
     pooled = sorted(r.image_path for r in m.rows if r.round_id != 1)
-    read = sorted(os.path.relpath(p, m.root) for p in counted_loads)
+    read = sorted(os.path.relpath(p, m.root) for p in counted_loads())
     assert read == pooled  # each pooled image once, no held-out one
     for name in os.listdir(out):
         if name.endswith(".ftkmdl"):
@@ -529,7 +531,7 @@ def test_single_file_output_is_replaced_only_with_force(
     argv = _single_file_command(name, pipeline_dirs, small_cfg_file) + ["--out", str(out)]
     assert run(argv) == 3
     assert out.read_bytes() == b"earlier"
-    assert counted_loads == []  # refused before any frame is read
+    assert counted_loads() == []  # refused before any frame is read
     assert run(argv + ["--force"]) == 0
     assert out.read_bytes() != b"earlier"
 
@@ -625,8 +627,41 @@ def test_eval_missing_model_exit_code(tmp_path, pipeline_dirs, counted_loads):
                 "--out", str(out), "--force"]) == 3
     # Every model is checked before --force removes the earlier report and
     # before any frame is read.
-    assert counted_loads == []
+    assert counted_loads() == []
     assert {name: sha(out / name) for name in os.listdir(out)} == before
+
+
+def test_eval_force_keeps_the_report_when_a_model_is_corrupt(tmp_path, pipeline_dirs,
+                                                             counted_loads):
+    models = tmp_path / "models"
+    shutil.copytree(pipeline_dirs["models"], models)
+    # A well-formed header over a NaN payload: only loading the model finds it.
+    data = bytearray((models / "model_s01.ftkmdl").read_bytes())
+    data[-4:] = np.float32(np.nan).tobytes()
+    (models / "model_s01.ftkmdl").write_bytes(bytes(data))
+    out = tmp_path / "eval"
+    shutil.copytree(pipeline_dirs["eval"], out)
+    before = {name: sha(out / name) for name in os.listdir(out)}
+    assert {"report.csv", "per_point.csv", "latency.csv"} <= before.keys()
+    assert run(["eval", "--in", pipeline_dirs["recon"], "--models", str(models),
+                "--out", str(out), "--force"]) == 3
+    assert counted_loads() == []
+    assert {name: sha(out / name) for name in os.listdir(out)} == before
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulate_data_error_in_a_worker_exits_3(tmp_path, pipeline_dirs,
+                                                 monkeypatch, threads):
+    monkeypatch.setenv("FLATTRACK_THREADS", threads)
+    scenes = tmp_path / "scenes"
+    shutil.copytree(pipeline_dirs["scenes"], scenes)
+    rows = read_manifest(str(scenes)).rows
+    middle = scenes / rows[len(rows) // 2].image_path
+    middle.write_bytes(middle.read_bytes()[:-7])
+    out = tmp_path / "meas"
+    assert run(["simulate", "--in", str(scenes), "--psf", pipeline_dirs["psf"],
+                "--out", str(out)]) == 3
+    assert not (out / "manifest.csv").exists()
 
 
 def test_repeated_set_flags_override_in_order(tmp_path, small_cfg_file):
@@ -782,24 +817,26 @@ def test_protocol_over_rows_is_the_protocol_over_samples(tmp_path, pipeline_dirs
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_protocol_holds_at_most_the_frames_in_flight(pipeline_dirs, monkeypatch,
                                                      threads):
+    # The loads run on the calling process at any worker count, each frame
+    # reduced to its training plane or scored as it is read.
     monkeypatch.setenv("FLATTRACK_THREADS", threads)
     rows, cfg, loads = scene_arms(pipeline_dirs)
-    assert len(rows) > 2 * IN_FLIGHT
-    lock = threading.Lock()
+    assert len(rows) > 4
+    caller = os.getpid()
     frames = []
     most_alive = 0
 
     def load(row):
         nonlocal most_alive
+        assert os.getpid() == caller
         s = loads["lensless"](row)
-        with lock:
-            frames.append(weakref.ref(s.image))
-            most_alive = max(most_alive, sum(f() is not None for f in frames))
+        frames.append(weakref.ref(s.image))
+        most_alive = max(most_alive, sum(f() is not None for f in frames))
         return s
 
     run_protocol(rows, cfg, load)
     assert len(frames) == len(rows)
-    assert most_alive <= IN_FLIGHT
+    assert most_alive <= 2
 
 
 def test_protocol_load_error_propagates_and_leaves_no_worker(pipeline_dirs,
@@ -823,7 +860,7 @@ def test_compare_lensed_reads_each_scene_once_per_arm(tmp_path, pipeline_dirs,
     assert run(["compare-lensed", "--in", pipeline_dirs["scenes"],
                 "--psf", pipeline_dirs["psf"], "--out", str(tmp_path / "c.csv")]) == 0
     m = read_manifest(pipeline_dirs["scenes"])
-    assert collections.Counter(counted_loads) == collections.Counter(
+    assert collections.Counter(counted_loads()) == collections.Counter(
         {os.path.join(m.root, r.image_path): 2 for r in m.rows})
 
 
@@ -833,7 +870,7 @@ def test_compare_lensed_checks_its_training_config_before_loading(
     assert run(["compare-lensed", "--in", pipeline_dirs["scenes"],
                 "--psf", pipeline_dirs["psf"], "--out", str(tmp_path / "c.csv"),
                 "--set", setting]) == 2
-    assert counted_loads == []
+    assert counted_loads() == []
 
 
 @pytest.mark.parametrize("out", ["nodir/c.csv", "."])
@@ -841,7 +878,7 @@ def test_compare_lensed_checks_out_before_loading(tmp_path, pipeline_dirs,
                                                   counted_loads, out):
     assert run(["compare-lensed", "--in", pipeline_dirs["scenes"],
                 "--psf", pipeline_dirs["psf"], "--out", str(tmp_path / out)]) == 3
-    assert counted_loads == []
+    assert counted_loads() == []
     assert os.listdir(tmp_path) == []
 
 

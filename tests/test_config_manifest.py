@@ -3,6 +3,8 @@ import hashlib
 import math
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -14,19 +16,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flattrack.config import SCHEMA, ExperimentConfig
-from flattrack.errors import ConfigError, DataError
+from flattrack.errors import ConfigError, DataError, FlatTrackError
 from flattrack.eyesim import EyeRenderParams, render_round
 from flattrack.geometry import CalibratedScreen, GridSpec
 from flattrack.manifest import read_manifest, save_sample, write_rows
 from flattrack.optics import ContourPsfParams, NoiseModel
-from flattrack.pipeline import (aggregate_per_point, partition_samples,
+from flattrack.pipeline import (aggregate_per_point, partition_samples, read,
                                 seed_for_sample, split_train_val)
 from flattrack.reconstruct import WienerConfig
 from flattrack.regressor import TrainConfig
 from flattrack.report import (read_per_point_csv, read_table, write_grid_error_svg,
                               write_per_point_csv, write_table)
 from flattrack.seeds import make_rng
-from flattrack.workers import IN_FLIGHT, imap, worker_count
+from flattrack.workers import parallel_map, worker_count
 import fuzz
 
 
@@ -344,44 +346,124 @@ def test_worker_count_env(monkeypatch):
             worker_count()
 
 
+def no_child_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 @pytest.mark.parametrize("threads", ["1", "2", "4"])
 def test_imap_keeps_order_and_bounds_the_results_alive(monkeypatch, threads):
     monkeypatch.setenv("FLATTRACK_THREADS", threads)
-    lock = threading.Lock()
+    # The first items are the slowest, so later chunks finish first.
+    got = parallel_map(lambda i: (time.sleep(0.002 * (i < 4)), i * i)[1], range(40))
+    assert got == [i * i for i in range(40)]
+    assert no_child_left()
+    # read runs each load on the calling process as its result is consumed,
+    # at any worker count: the consumer's frame and the next one at most.
     made = []
     most_alive = 0
 
     def load(i):
         nonlocal most_alive
+        assert os.getpid() == caller
         frame = np.full(4, float(i))
-        with lock:
-            made.append(weakref.ref(frame))
-            most_alive = max(most_alive, sum(r() is not None for r in made))
+        made.append(weakref.ref(frame))
+        most_alive = max(most_alive, sum(r() is not None for r in made))
         return frame
 
-    got = []
-    for frame in imap(load, range(40)):
-        time.sleep(0.001)  # a slow consumer lets the workers run ahead
-        got.append(float(frame[0]))
-    assert got == [float(i) for i in range(40)]
-    assert most_alive <= IN_FLIGHT
+    caller = os.getpid()
+    assert [float(frame[0]) for frame in read(range(40), load)] == list(range(40))
+    assert most_alive <= 2
 
 
 def test_imap_error_propagates_and_stops_the_pool(monkeypatch):
     monkeypatch.setenv("FLATTRACK_THREADS", "2")
-    before = set(threading.enumerate())
-    called = []
 
     def load(i):
-        called.append(i)
         if i == 5:
-            raise RuntimeError("load failed")
+            raise DataError("load failed")
         return i
 
-    with pytest.raises(RuntimeError, match="load failed"):
-        list(imap(load, range(100)))
-    assert set(threading.enumerate()) <= before
-    assert max(called) < 5 + IN_FLIGHT  # the queued items were cancelled
+    # A worker's error reaches the caller with its type, so the CLI gives
+    # it the same exit code as at one worker, and every worker is gone.
+    with pytest.raises(DataError, match="load failed"):
+        parallel_map(load, range(100))
+    assert no_child_left()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked through os.fork."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def test_parallel_map_forks_at_most_one_worker_per_item(monkeypatch, forks):
+    monkeypatch.setenv("FLATTRACK_THREADS", "10000")
+    assert parallel_map(lambda i: i + 1, range(3)) == [1, 2, 3]
+    assert len(forks) == 3
+    assert no_child_left()
+
+
+def test_parallel_map_refuses_to_fork_beside_a_thread(monkeypatch, forks):
+    monkeypatch.setenv("FLATTRACK_THREADS", "2")
+    stop = threading.Event()
+    t = threading.Thread(target=stop.wait, args=(10,))
+    t.start()
+    try:
+        with pytest.raises(FlatTrackError, match="other threads"):
+            parallel_map(abs, range(4))
+    finally:
+        stop.set()
+        t.join(timeout=10)
+    assert not t.is_alive()
+    assert forks == []
+    assert parallel_map(abs, range(-2, 2)) == [2, 1, 0, 1]  # once it has stopped
+    assert len(forks) == 2
+
+
+def test_parallel_map_worker_killed_by_a_signal_fails_the_call():
+    # In its own interpreter, with a timeout, so a hang fails the test.
+    code = (
+        "import os, signal\n"
+        "from flattrack.errors import FlatTrackError\n"
+        "from flattrack.workers import parallel_map\n"
+        "def fn(i):\n"
+        "    if i == 2:\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return i\n"
+        "try:\n"
+        "    parallel_map(fn, range(8))\n"
+        "except FlatTrackError as e:\n"
+        "    print('raised:', e)\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    print('no child left')\n")
+    # The child imports flattrack from where this process did.
+    import flattrack
+    src = os.path.dirname(os.path.dirname(os.path.abspath(flattrack.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, FLATTRACK_THREADS="2", PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert "raised: worker process" in proc.stdout
+    assert "killed by SIGKILL" in proc.stdout
+    assert "no child left" in proc.stdout
 
 
 # ---------------------------------------------------------------------------

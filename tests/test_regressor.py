@@ -483,7 +483,7 @@ def test_train_warps_on_the_calling_thread(monkeypatch):
     idents = []
 
     def spy(*args):
-        idents.append(threading.get_ident())
+        idents.append((os.getpid(), threading.get_ident()))
         return warp_stack(*args)
 
     warp_stack = regressor._warp_stack
@@ -492,7 +492,7 @@ def test_train_warps_on_the_calling_thread(monkeypatch):
     # 9 samples: two stacks per epoch.
     train(model_init(3), training_set(tiny_round(0)), training_set(tiny_round(1)),
           TrainConfig(epochs=2, batch_size=8, seed=7), SCREEN)
-    assert idents and set(idents) == {threading.get_ident()}
+    assert idents and set(idents) == {(os.getpid(), threading.get_ident())}
 
 
 def test_train_holds_no_epoch_sized_input():
