@@ -159,18 +159,20 @@ def _filter_padded(x: np.ndarray, grid: tuple[int, int], filt, out_h: int,
 
     The 2-D transforms run as the same 1-D passes, written into this
     thread's workspace; ``filt`` updates the spectrum in place. The row
-    pass reads ``x`` through the second buffer, converted there to float64,
-    so a float32 frame gets no float64 copy (numpy's rfft would allocate
-    one); it fills the top rows and the pad rows are zeroed in place, so
-    the column pass needs no padded copy. Only the last pass, on the kept
-    rows, allocates, and its array is the result.
+    pass reads ``x`` through the second buffer, converted there to float64
+    and zero-padded in place to the grid's width, so neither a float32
+    frame's cast nor a short row's pad gets a copy (numpy's rfft would
+    allocate both); it fills the top rows and the pad rows are zeroed in
+    place, so the column pass needs no padded copy. Only the last pass, on
+    the kept rows, allocates, and its array is the result.
     """
     fw = grid[1]
     a, b = _fft_workspace(grid)
     h, w = x.shape
-    rows = b.view(float)[:h, :w]
-    rows[...] = x
-    np.fft.rfft(rows, n=fw, axis=1, out=a[:h])
+    rows = b.view(float)[:h, :fw]
+    rows[:, :w] = x
+    rows[:, w:] = 0
+    np.fft.rfft(rows, axis=1, out=a[:h])
     # The previous call's inverse pass left data in the pad rows.
     a[h:] = 0
     np.fft.fft(a, axis=0, out=b)
@@ -204,8 +206,13 @@ def simulate_measurement(x, p: Psf, noise: NoiseModel, seed: int) -> np.ndarray:
     if noise.kind != "none" and noise.sigma_rel > 0.0:
         sigma = noise.sigma_rel * float(np.max(y))
         if sigma > 0:
-            rng = make_rng(seed)
-            y = y + rng.normal(0.0, sigma, size=y.shape)
+            # rng.normal(0, sigma) is 0.0 + sigma * z, bit for bit. z is
+            # drawn into the FFT workspace, which full_convolve is done with.
+            z = _workspace.fft[0].view(float).reshape(-1)[:y.size].reshape(y.shape)
+            make_rng(seed).standard_normal(out=z)
+            z *= sigma
+            z += 0.0
+            y += z
     return as_float32(y, "measurement")
 
 

@@ -470,22 +470,43 @@ def _draw_affine(ranges: AffineRanges, seed: int):
 # Adam + training loop
 # ---------------------------------------------------------------------------
 
-class AdamState:
-    """First/second moment accumulators and one scratch array per parameter.
+# The Adam step updates each parameter in blocks of at most this many
+# values, through one scratch array of this size (64 KiB of float64).
+_ADAM_BLOCK = 8192
 
-    A layer's arrays are allocated, the moments as zeros, at its first
-    update, so a layer that is never trained (frozen in fine-tuning) gets
-    none.
+
+def _blocks(shape):
+    """Index tuples that cover an array of the 1-D or 2-D ``shape`` in
+    blocks of at most _ADAM_BLOCK values: whole rows where they fit, else
+    parts of one row."""
+    rows, cols = (1, *shape)[-2:]
+    bc = max(1, min(cols, _ADAM_BLOCK))
+    br = _ADAM_BLOCK // bc
+    for r in range(0, rows, br):
+        for c in range(0, cols, bc):
+            yield (slice(r, r + br), slice(c, c + bc))[-len(shape):]
+
+
+class AdamState:
+    """Adam's first and second moments, two arrays per trainable parameter,
+    and one scratch array of _ADAM_BLOCK values that every update shares.
+
+    A layer's moments are allocated, as zeros, at its first update, so a
+    layer that is never trained (frozen in fine-tuning) gets none.
     """
 
     def __init__(self, m: RegressorModel):
-        self.slots: list[list[tuple[np.ndarray, ...]] | None] = [None] * m.n_layers
+        self.slots: list[list[tuple[np.ndarray, np.ndarray]] | None] = [None] * m.n_layers
+        self.scratch = np.empty(_ADAM_BLOCK)
         self.t = 0
 
     def step(self, model: RegressorModel, grads_w, grads_b, lr: float,
              cfg: TrainConfig, trainable: set[int]):
         """One in-place update of the trainable layers. It consumes the
-        gradient arrays: they hold scratch values afterwards."""
+        gradient arrays: they hold scratch values afterwards. Each parameter
+        is updated block by block (_blocks), with the operations of the
+        plain formula in their order, so the result does not depend on the
+        blocks."""
         self.t += 1
         b1, b2 = cfg.adam_beta1, cfg.adam_beta2
         c1 = 1.0 - b1 ** self.t
@@ -493,30 +514,32 @@ class AdamState:
         for k in sorted(trainable):
             params = (model.weights[k], model.biases[k])
             if self.slots[k] is None:
-                self.slots[k] = [(np.zeros_like(p), np.zeros_like(p), np.empty_like(p))
-                                 for p in params]
-            for theta, g, (mom, vel, s) in zip(params, (grads_w[k], grads_b[k]),
-                                               self.slots[k]):
-                # The operations of g' = g + wd*theta, mom = b1*mom + (1-b1)*g',
-                # vel = b2*vel + (1-b2)*g'*g' and
-                # theta -= lr*(mom/c1) / (sqrt(vel/c2) + eps), in that order,
-                # with g' in s and the temporaries in g and s.
-                np.multiply(cfg.weight_decay, theta, out=s)
-                np.add(g, s, out=s)
-                mom *= b1
-                np.multiply(1 - b1, s, out=g)
-                mom += g
-                vel *= b2
-                np.multiply(1 - b2, s, out=g)
-                g *= s
-                vel += g
-                np.divide(mom, c1, out=s)
-                np.multiply(lr, s, out=s)
-                np.divide(vel, c2, out=g)
-                np.sqrt(g, out=g)
-                g += cfg.adam_eps
-                s /= g
-                theta -= s
+                self.slots[k] = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+            for param, grad, (moms, vels) in zip(params, (grads_w[k], grads_b[k]),
+                                                 self.slots[k]):
+                for blk in _blocks(param.shape):
+                    theta, g, mom, vel = param[blk], grad[blk], moms[blk], vels[blk]
+                    s = self.scratch[:theta.size].reshape(theta.shape)
+                    # The operations of g' = g + wd*theta, mom = b1*mom + (1-b1)*g',
+                    # vel = b2*vel + (1-b2)*g'*g' and
+                    # theta -= lr*(mom/c1) / (sqrt(vel/c2) + eps), in that order,
+                    # with g' in s and the temporaries in g and s.
+                    np.multiply(cfg.weight_decay, theta, out=s)
+                    np.add(g, s, out=s)
+                    mom *= b1
+                    np.multiply(1 - b1, s, out=g)
+                    mom += g
+                    vel *= b2
+                    np.multiply(1 - b2, s, out=g)
+                    g *= s
+                    vel += g
+                    np.divide(mom, c1, out=s)
+                    np.multiply(lr, s, out=s)
+                    np.divide(vel, c2, out=g)
+                    np.sqrt(g, out=g)
+                    g += cfg.adam_eps
+                    s /= g
+                    theta -= s
 
 
 @dataclass
@@ -630,10 +653,15 @@ def _val_metrics(m: RegressorModel, X: np.ndarray, gt_pts: np.ndarray,
     return val_loss, float(np.mean(errs)), int((~keep).sum())
 
 
-def train(m: RegressorModel, train_set, val_set, cfg: TrainConfig,
+def train(model: RegressorModel, train_set, val_set, cfg: TrainConfig,
           screen: CalibratedScreen, trainable: set[int] | None = None) -> TrainResult:
     """Run the full regimen on two TrainingSets and return the weights with
     best validation error.
+
+    ``model`` is trained in place and left at the last epoch's weights;
+    the result's model is the only other copy, holding the best weights. So
+    a caller that still needs the starting weights passes a copy (fine_tune
+    does).
 
     Seeded shuffling, Adam with coupled L2 weight decay, learning rate
     decayed every lr_step_epochs. ``trainable`` restricts updates to a layer
@@ -646,7 +674,6 @@ def train(m: RegressorModel, train_set, val_set, cfg: TrainConfig,
     """
     if not train_set or not val_set:
         raise DataError("train and validation sets must be non-empty")
-    model = m.copy()
     if trainable is None:
         trainable = set(range(model.n_layers))
     # Backpropagation stops at the lowest trainable layer.
@@ -708,7 +735,9 @@ FINETUNE_LAYERS = frozenset({1, 2})
 
 def fine_tune(m: RegressorModel, train_set, val_set, cfg: TrainConfig,
               screen: CalibratedScreen) -> TrainResult:
-    return train(m, train_set, val_set, cfg, screen,
+    """train a copy of ``m`` on its FINETUNE_LAYERS; ``m`` is left as it is,
+    so one base can be fine-tuned again and again."""
+    return train(m.copy(), train_set, val_set, cfg, screen,
                  trainable=set(FINETUNE_LAYERS))
 
 

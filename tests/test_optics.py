@@ -16,7 +16,7 @@ from flattrack.optics import (ContourPsfParams, NoiseModel, Psf,
                               next_fast_len, save_image, save_psf,
                               simulate_measurement, spectral_flatness_ratio)
 from flattrack.workers import parallel_map
-from flattrack.seeds import mix_seed, splitmix64
+from flattrack.seeds import make_rng, mix_seed, splitmix64
 import fuzz
 from oracles import convolve_direct, fltimg_bytes
 
@@ -228,6 +228,21 @@ def test_simulate_deterministic_per_seed():
     y3 = simulate_measurement(x, p, n, 100)
     assert np.array_equal(y1, y2)
     assert not np.array_equal(y1, y3)
+
+
+def test_simulate_equals_the_plain_formula():
+    # The noise is drawn in place into the FFT workspace; the measurement
+    # stays the convolution plus rng.normal(0, sigma), bit for bit.
+    rng = np.random.default_rng(13)
+    noise = NoiseModel("gaussian", 5e-3)
+    for scene, kernel in [((128, 128), (128, 128)), ((64, 96), (65, 33)),
+                          ((12, 12), (5, 5))]:
+        x = rng.random(scene).astype(np.float32)
+        p = Psf(rng.random(kernel))
+        y0 = full_convolve(x, p)
+        sigma = noise.sigma_rel * float(np.max(y0))
+        expected = (y0 + make_rng(7).normal(0.0, sigma, size=y0.shape)).astype(np.float32)
+        assert np.array_equal(simulate_measurement(x, p, noise, 7), expected)
 
 
 def test_simulate_noise_level():

@@ -515,6 +515,25 @@ def test_train_holds_no_epoch_sized_input():
     assert traced_peak(4 * n) - traced_peak(n) < 2 * n * 8 * 1024
 
 
+def test_train_keeps_two_copies_of_the_weights():
+    # One pretraining call, its model made inside the trace as
+    # train_protocol makes it: the model it trains in place, the best
+    # weights, Adam's two moments and one set of gradients are five model
+    # sizes. A third copy of the weights, or a model-sized Adam scratch
+    # array, would take the peak past 7.
+    rng = np.random.default_rng(26)
+    ts, val = frames_set(rng.random((64, 32, 32))), frames_set(rng.random((16, 32, 32)))
+    cfg = TrainConfig(epochs=2, lr=1e-3, batch_size=32, augment=False, seed=7)
+    model_bytes = sum((a + 1) * b for a, b in zip(ARCH[:-1], ARCH[1:])) * 8
+    tracemalloc.start()
+    try:
+        train(model_init(3), ts, val, cfg, SCREEN)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * model_bytes
+
+
 def test_training_identical_at_any_thread_count(tmp_path, monkeypatch):
     params = EyeRenderParams()  # the default 128x128 scenes
     tr = [s for r in (0, 1) for s in render_round(GRID_9, SCREEN, params, 0, r, 1, 11)]
@@ -585,36 +604,56 @@ def test_float32_images_train_and_evaluate_like_float64(tmp_path, monkeypatch):
     assert r32.per_point == r64.per_point
 
 
+def wide_model(seed):
+    """Two layers whose rows (9,000 values) are wider than one block of
+    the Adam step."""
+    rng = np.random.default_rng(seed)
+    return RegressorModel([rng.standard_normal((3, 9000)), rng.standard_normal((9000, 2))],
+                          [rng.standard_normal(9000), rng.standard_normal(2)])
+
+
 def test_adam_step_equals_the_plain_formula():
-    m = model_init(5)
-    ref = m.copy()
-    cfg = TrainConfig(weight_decay=5e-3, seed=1)
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-    trainable = {1, 2}  # layer 0 frozen, as in fine-tuning
-    moments = {k: [(np.zeros_like(p), np.zeros_like(p))
-                   for p in (ref.weights[k], ref.biases[k])] for k in trainable}
-    opt = AdamState(m)
-    rng = np.random.default_rng(4)
-    for t in range(1, 5):
-        gw = [rng.standard_normal(w.shape) for w in m.weights]
-        gb = [rng.standard_normal(b.shape) for b in m.biases]
-        lr = 1e-3 * 0.5 ** (t // 2)
-        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-        for k in trainable:
-            for theta, g, (mom, vel) in zip((ref.weights[k], ref.biases[k]),
-                                            (gw[k], gb[k]), moments[k]):
-                g = g + cfg.weight_decay * theta
-                mom *= b1
-                mom += (1 - b1) * g
-                vel *= b2
-                vel += (1 - b2) * g * g
-                theta -= lr * (mom / c1) / (np.sqrt(vel / c2) + cfg.adam_eps)
-        opt.step(m, [g.copy() for g in gw], [g.copy() for g in gb], lr, cfg, trainable)
-        for a, b in zip(m.weights + m.biases, ref.weights + ref.biases):
-            assert np.array_equal(a, b)
-    assert not np.array_equal(m.weights[1], model_init(5).weights[1])
-    assert np.array_equal(m.weights[0], model_init(5).weights[0])
-    assert opt.slots[0] is None  # no moments for the frozen layer
+    # Layer 0 frozen, as in fine-tuning; every layer trainable, where W0
+    # (1024x128) spans several of the step's blocks; and rows wider than
+    # a block, which are split.
+    for make, trainable in ((model_init, {1, 2}), (model_init, {0, 1, 2}),
+                            (wide_model, {0, 1})):
+        m = make(5)
+        ref = m.copy()
+        cfg = TrainConfig(weight_decay=5e-3, seed=1)
+        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+        moments = {k: [(np.zeros_like(p), np.zeros_like(p))
+                       for p in (ref.weights[k], ref.biases[k])] for k in trainable}
+        opt = AdamState(m)
+        rng = np.random.default_rng(4)
+        for t in range(1, 5):
+            gw = [rng.standard_normal(w.shape) for w in m.weights]
+            gb = [rng.standard_normal(b.shape) for b in m.biases]
+            lr = 1e-3 * 0.5 ** (t // 2)
+            c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for k in trainable:
+                for theta, g, (mom, vel) in zip((ref.weights[k], ref.biases[k]),
+                                                (gw[k], gb[k]), moments[k]):
+                    g = g + cfg.weight_decay * theta
+                    mom *= b1
+                    mom += (1 - b1) * g
+                    vel *= b2
+                    vel += (1 - b2) * g * g
+                    theta -= lr * (mom / c1) / (np.sqrt(vel / c2) + cfg.adam_eps)
+            opt.step(m, [g.copy() for g in gw], [g.copy() for g in gb], lr, cfg,
+                     trainable)
+            for a, b in zip(m.weights + m.biases, ref.weights + ref.biases):
+                assert np.array_equal(a, b)
+        # Two moments per trainable parameter, none for a frozen layer, and
+        # one bounded scratch array for the whole state.
+        for k, w in enumerate(m.weights):
+            if k in trainable:
+                assert not np.array_equal(w, make(5).weights[k])
+                assert [len(pair) for pair in opt.slots[k]] == [2, 2]
+            else:
+                assert np.array_equal(w, make(5).weights[k])
+                assert opt.slots[k] is None
+        assert opt.scratch.nbytes <= 64 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -702,6 +741,27 @@ def test_finetune_freezes_first_layer():
     assert np.array_equal(res.model.biases[0], base.model.biases[0])
     assert not np.array_equal(res.model.weights[1], base.model.weights[1])
     assert not np.array_equal(res.model.weights[2], base.model.weights[2])
+
+
+def test_finetune_leaves_its_base_unchanged(tmp_path, monkeypatch):
+    # Serial fine-tunes, as train_protocol runs them at one worker: each
+    # trains a copy, so the base's bytes stay and a second fine-tune with
+    # the same config gives the same weights.
+    monkeypatch.setenv("FLATTRACK_THREADS", "1")
+    tr, va = split_tiny()
+    base = train(model_init(15), training_set(tr), training_set(va),
+                 TrainConfig(epochs=2, augment=False, seed=7), SCREEN)
+    save_model(base.model, tmp_path / "base.ftkmdl")
+    before = [p.tobytes() for p in base.model.weights + base.model.biases]
+    cfg = TrainConfig(epochs=3, augment=False, seed=8)
+    paths = []
+    for i in range(2):
+        res = fine_tune(base.model, training_set(tr), training_set(va), cfg, SCREEN)
+        assert [p.tobytes() for p in base.model.weights + base.model.biases] == before
+        paths.append(tmp_path / f"ft_{i}.ftkmdl")
+        save_model(res.model, paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert paths[0].read_bytes() != (tmp_path / "base.ftkmdl").read_bytes()
 
 
 def test_backward_stops_at_the_first_trainable_layer():
