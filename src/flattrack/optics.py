@@ -164,7 +164,8 @@ def _filter_padded(x: np.ndarray, grid: tuple[int, int], filt, out_h: int,
     frame's cast nor a short row's pad gets a copy (numpy's rfft would
     allocate both); it fills the top rows and the pad rows are zeroed in
     place, so the column pass needs no padded copy. Only the last pass, on
-    the kept rows, allocates, and its array is the result.
+    the kept rows, allocates, and its array is the result: it never shares
+    memory with the workspace.
     """
     fw = grid[1]
     a, b = _fft_workspace(grid)
@@ -207,8 +208,10 @@ def simulate_measurement(x, p: Psf, noise: NoiseModel, seed: int) -> np.ndarray:
         sigma = noise.sigma_rel * float(np.max(y))
         if sigma > 0:
             # rng.normal(0, sigma) is 0.0 + sigma * z, bit for bit. z is
-            # drawn into the FFT workspace, which full_convolve is done with.
-            z = _workspace.fft[0].view(float).reshape(-1)[:y.size].reshape(y.shape)
+            # drawn into the FFT workspace, which full_convolve is done with
+            # and y does not share (_filter_padded).
+            ws = _fft_workspace(fft_conv_shape(*y.shape))[0]
+            z = ws.view(float).reshape(-1)[:y.size].reshape(y.shape)
             make_rng(seed).standard_normal(out=z)
             z *= sigma
             z += 0.0

@@ -475,18 +475,6 @@ def _draw_affine(ranges: AffineRanges, seed: int):
 _ADAM_BLOCK = 8192
 
 
-def _blocks(shape):
-    """Index tuples that cover an array of the 1-D or 2-D ``shape`` in
-    blocks of at most _ADAM_BLOCK values: whole rows where they fit, else
-    parts of one row."""
-    rows, cols = (1, *shape)[-2:]
-    bc = max(1, min(cols, _ADAM_BLOCK))
-    br = _ADAM_BLOCK // bc
-    for r in range(0, rows, br):
-        for c in range(0, cols, bc):
-            yield (slice(r, r + br), slice(c, c + bc))[-len(shape):]
-
-
 class AdamState:
     """Adam's first and second moments, two arrays per trainable parameter,
     and one scratch array of _ADAM_BLOCK values that every update shares.
@@ -504,9 +492,9 @@ class AdamState:
              cfg: TrainConfig, trainable: set[int]):
         """One in-place update of the trainable layers. It consumes the
         gradient arrays: they hold scratch values afterwards. Each parameter
-        is updated block by block (_blocks), with the operations of the
-        plain formula in their order, so the result does not depend on the
-        blocks."""
+        is updated over its flat (C-contiguous) view in blocks of
+        _ADAM_BLOCK values, with the operations of the plain formula in
+        their order, so the result does not depend on the blocks."""
         self.t += 1
         b1, b2 = cfg.adam_beta1, cfg.adam_beta2
         c1 = 1.0 - b1 ** self.t
@@ -517,9 +505,11 @@ class AdamState:
                 self.slots[k] = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
             for param, grad, (moms, vels) in zip(params, (grads_w[k], grads_b[k]),
                                                  self.slots[k]):
-                for blk in _blocks(param.shape):
-                    theta, g, mom, vel = param[blk], grad[blk], moms[blk], vels[blk]
-                    s = self.scratch[:theta.size].reshape(theta.shape)
+                # copy=False raises rather than update a copy.
+                flat = [a.reshape(-1, copy=False) for a in (param, grad, moms, vels)]
+                for lo in range(0, flat[0].size, _ADAM_BLOCK):
+                    theta, g, mom, vel = (a[lo:lo + _ADAM_BLOCK] for a in flat)
+                    s = self.scratch[:theta.size]
                     # The operations of g' = g + wd*theta, mom = b1*mom + (1-b1)*g',
                     # vel = b2*vel + (1-b2)*g'*g' and
                     # theta -= lr*(mom/c1) / (sqrt(vel/c2) + eps), in that order,
