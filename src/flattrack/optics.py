@@ -27,11 +27,6 @@ MAX_DIM = 1 << 16
 _FLTIMG_MAGIC = "FLTIMG"
 _VERSION = 1  # of FLTIMG and FTKMDL (regressor), written after the magic
 
-# Per-thread FFT buffers (see _fft_workspace). A fresh 256x129 complex
-# spectrum (528 KiB) is above glibc's 128 KiB mmap threshold, so a call that
-# allocated its own would fault those pages in again every time.
-_workspace = threading.local()
-
 
 def _check_image(x, name: str = "image") -> np.ndarray:
     """``x`` as a checked 2D array: float32 as it is, anything else as
@@ -80,7 +75,8 @@ class NoiseModel:
 
 @dataclass(frozen=True, eq=False)
 class Psf:
-    """Nonnegative intensity PSF: immutable, and memoises its padded spectrum.
+    """Nonnegative intensity PSF: immutable, and memoises its padded spectrum
+    and, per grid and thread, its per-frame FFT buffers (_fft_workspace).
 
     ``data`` is a read-only copy of the given array, so nothing cached from
     it can go stale. Build one Psf per camera and reuse it for every frame.
@@ -107,6 +103,7 @@ class Psf:
 
         Threads may race to compute the same deterministic value; setdefault
         keeps the first one stored, so every caller gets the same array.
+        Values a thread writes to (FFT buffers) have the thread in the key.
         """
         value = self._cache.get(key)
         if value is None:
@@ -143,32 +140,32 @@ def _padded_spectrum(p: Psf | np.ndarray, out_h: int, out_w: int):
     return grid, np.fft.rfft2(p, s=grid)
 
 
-def _fft_workspace(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Two (fh, fw//2+1) complex buffers owned by the calling thread, kept
-    for its most recent grid so that per-frame transforms reuse them."""
+def _fft_workspace(p: Psf | np.ndarray | None, grid: tuple[int, int]):
+    """Two (fh, fw//2+1) complex buffers for transforms on ``grid``: memoised
+    on a Psf per (grid, thread), so freed with it; fresh otherwise. Fresh
+    528 KiB buffers (256x129) would be page-faulted in on every call."""
+    if isinstance(p, Psf):
+        return p._memo(("fft", grid, threading.get_ident()),
+                       lambda: _fft_workspace(None, grid))
     shape = (grid[0], grid[1] // 2 + 1)
-    ws = getattr(_workspace, "fft", None)
-    if ws is None or ws[0].shape != shape:
-        ws = _workspace.fft = (np.empty(shape, complex), np.empty(shape, complex))
-    return ws
+    return np.empty(shape, complex), np.empty(shape, complex)
 
 
-def _filter_padded(x: np.ndarray, grid: tuple[int, int], filt, out_h: int,
+def _filter_padded(x: np.ndarray, grid: tuple[int, int], ws, filt, out_h: int,
                    out_w: int) -> np.ndarray:
     """``irfft2(filt(rfft2(x, s=grid)), s=grid)[:out_h, :out_w]``, bit for bit.
 
-    The 2-D transforms run as the same 1-D passes, written into this
-    thread's workspace; ``filt`` updates the spectrum in place. The row
-    pass reads ``x`` through the second buffer, converted there to float64
-    and zero-padded in place to the grid's width, so neither a float32
-    frame's cast nor a short row's pad gets a copy (numpy's rfft would
-    allocate both); it fills the top rows and the pad rows are zeroed in
-    place, so the column pass needs no padded copy. Only the last pass, on
-    the kept rows, allocates, and its array is the result: it never shares
-    memory with the workspace.
+    The 2-D transforms run as the same 1-D passes, written into the buffer
+    pair ``ws`` (_fft_workspace); ``filt`` updates the spectrum in place.
+    The row pass reads ``x`` through the second buffer, converted there to
+    float64 and zero-padded in place to the grid's width, so neither a
+    float32 frame's cast nor a short row's pad gets a copy (numpy's rfft
+    would allocate both); it fills the top rows and the pad rows are zeroed
+    in place, so the column pass needs no padded copy. Only the last pass,
+    on the kept rows, allocates: its array is the result, not a buffer.
     """
     fw = grid[1]
-    a, b = _fft_workspace(grid)
+    a, b = ws
     h, w = x.shape
     rows = b.view(float)[:h, :fw]
     rows[:, :w] = x
@@ -193,8 +190,8 @@ def full_convolve(x, p: Psf | np.ndarray) -> np.ndarray:
     p = _psf_operand(p)
     out_h, out_w = _full_shape(xa, p)
     grid, fp = _padded_spectrum(p, out_h, out_w)
-    return _filter_padded(xa, grid, lambda fx: np.multiply(fx, fp, out=fx),
-                          out_h, out_w)
+    return _filter_padded(xa, grid, _fft_workspace(p, grid),
+                          lambda fx: np.multiply(fx, fp, out=fx), out_h, out_w)
 
 
 def simulate_measurement(x, p: Psf, noise: NoiseModel, seed: int) -> np.ndarray:
@@ -208,9 +205,9 @@ def simulate_measurement(x, p: Psf, noise: NoiseModel, seed: int) -> np.ndarray:
         sigma = noise.sigma_rel * float(np.max(y))
         if sigma > 0:
             # rng.normal(0, sigma) is 0.0 + sigma * z, bit for bit. z is
-            # drawn into the FFT workspace, which full_convolve is done with
-            # and y does not share (_filter_padded).
-            ws = _fft_workspace(fft_conv_shape(*y.shape))[0]
+            # drawn into p's first FFT buffer, which full_convolve is done
+            # with and y does not share (_filter_padded).
+            ws = _fft_workspace(p, fft_conv_shape(*y.shape))[0]
             z = ws.view(float).reshape(-1)[:y.size].reshape(y.shape)
             make_rng(seed).standard_normal(out=z)
             z *= sigma

@@ -174,8 +174,12 @@ def forward(m: RegressorModel, image) -> np.ndarray:
 
 
 def backward_batch(m: RegressorModel, cache, dV: np.ndarray, first: int = 0):
-    """Gradients of sum_i dV_i . v_i w.r.t. the weights and biases of layers
-    first.. (None below first: a frozen layer needs none).
+    """Gradients of sum_i dV_i . v_i w.r.t. the parameters of layers first..
+    as (factors_w, grads_b), None below first (a frozen layer needs none).
+
+    grads_b[k] is layer k's bias gradient; factors_w[k] is (acts[k],
+    delta_k), whose product acts[k].T @ delta_k weight_grad forms, whole or
+    a block of rows at a time.
 
     dV is (N, 3): upstream gradient at the unit-normalized output. Samples
     flagged degenerate in the cache (zero pre-normalization vector)
@@ -189,17 +193,26 @@ def backward_batch(m: RegressorModel, cache, dV: np.ndarray, first: int = 0):
     dU = (dV - v * np.sum(v * dV, axis=1, keepdims=True)) / safe[:, None]
     dU = np.where(ok[:, None], dU, 0.0)
 
-    grads_w = [None] * m.n_layers
+    factors_w = [None] * m.n_layers
     grads_b = [None] * m.n_layers
     delta = dU
     for k in range(m.n_layers - 1, first - 1, -1):
         if k < m.n_layers - 1:
             delta = delta * (cache["pre"][k] > 0)
-        grads_w[k] = cache["acts"][k].T @ delta
+        factors_w[k] = (cache["acts"][k], delta)
         grads_b[k] = delta.sum(axis=0)
         if k > first:
             delta = delta @ m.weights[k].T
-    return grads_w, grads_b
+    return factors_w, grads_b
+
+
+def weight_grad(factors, lo: int = 0, hi: int | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Rows lo:hi (default: all) of the weight gradient acts.T @ delta of
+    backward_batch's factors, into ``out`` if given; bit for bit the rows
+    of the whole product."""
+    acts, delta = factors
+    return np.matmul(acts[:, lo:hi].T, delta, out=out)
 
 
 def _screen_l1(v: np.ndarray, gt_pts, screen: CalibratedScreen):
@@ -226,14 +239,15 @@ def batch_loss_and_grads(m: RegressorModel, X: np.ndarray, gt_pts: np.ndarray,
 
     Samples whose predicted gaze is unprojectable (v_z <= 1e-6) are skipped
     and counted instead of clamped, so they add no biased gradient.
-    Returns (mean_loss, grads_w, grads_b, n_used, n_skipped).
+    Returns (mean_loss, factors_w, grads_b, n_used, n_skipped); with every
+    sample skipped, each gradient is zero (factors of one zero row).
     """
     v, cache = forward_batch(m, X)
     n = X.shape[0]
     keep, losses, resid = _screen_l1(v, gt_pts, screen)
     n_used = len(losses)
     if n_used == 0:
-        zero_w = [np.zeros_like(w) for w in m.weights]
+        zero_w = [(np.zeros((1, len(w))), np.zeros((1, w.shape[1]))) for w in m.weights]
         zero_b = [np.zeros_like(b) for b in m.biases]
         return 0.0, zero_w, zero_b, 0, n
     jac = gaze_to_screen_jacobian(v[keep], screen)
@@ -242,8 +256,8 @@ def batch_loss_and_grads(m: RegressorModel, X: np.ndarray, gt_pts: np.ndarray,
     # jac.T @ sign per row: two exact products (sign is -1, 0 or 1), one sum.
     dV[keep] = jac[:, 0] * sign[:, :1] + jac[:, 1] * sign[:, 1:]
     dV /= n_used
-    grads_w, grads_b = backward_batch(m, cache, dV, first)
-    return _mean_in_order(losses), grads_w, grads_b, n_used, n - n_used
+    factors_w, grads_b = backward_batch(m, cache, dV, first)
+    return _mean_in_order(losses), factors_w, grads_b, n_used, n - n_used
 
 
 # ---------------------------------------------------------------------------
@@ -471,13 +485,14 @@ def _draw_affine(ranges: AffineRanges, seed: int):
 # ---------------------------------------------------------------------------
 
 # The Adam step updates each parameter in blocks of at most this many
-# values, through one scratch array of this size (64 KiB of float64).
+# values, through two scratch arrays of this size (64 KiB of float64 each).
 _ADAM_BLOCK = 8192
 
 
 class AdamState:
     """Adam's first and second moments, two arrays per trainable parameter,
-    and one scratch array of _ADAM_BLOCK values that every update shares.
+    and two scratch arrays of _ADAM_BLOCK values that every update shares:
+    one for a block's weight gradient, one for its temporaries.
 
     A layer's moments are allocated, as zeros, at its first update, so a
     layer that is never trained (frozen in fine-tuning) gets none.
@@ -485,51 +500,57 @@ class AdamState:
 
     def __init__(self, m: RegressorModel):
         self.slots: list[list[tuple[np.ndarray, np.ndarray]] | None] = [None] * m.n_layers
-        self.scratch = np.empty(_ADAM_BLOCK)
+        self.scratch, self.grad = np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)
         self.t = 0
 
     def step(self, model: RegressorModel, grads_w, grads_b, lr: float,
              cfg: TrainConfig, trainable: set[int]):
-        """One in-place update of the trainable layers. It consumes the
-        gradient arrays: they hold scratch values afterwards. Each parameter
-        is updated over its flat (C-contiguous) view in blocks of
-        _ADAM_BLOCK values, with the operations of the plain formula in
-        their order, so the result does not depend on the blocks."""
+        """One in-place update of the trainable layers from backward_batch's
+        gradients; it consumes the bias gradients. A weight is updated in
+        blocks of whole rows of at most _ADAM_BLOCK values, each block's
+        gradient formed into ``self.grad`` (weight_grad), with the operations
+        of the plain formula in their order, so the result does not depend
+        on the blocks and no model-sized gradient is formed."""
         self.t += 1
         b1, b2 = cfg.adam_beta1, cfg.adam_beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
+
+        def update(theta, g, mom, vel):
+            s = self.scratch[:theta.size].reshape(theta.shape)
+            # The operations of g' = g + wd*theta, mom = b1*mom + (1-b1)*g',
+            # vel = b2*vel + (1-b2)*g'*g' and
+            # theta -= lr*(mom/c1) / (sqrt(vel/c2) + eps), in that order,
+            # with g' in s and the temporaries in g and s.
+            np.multiply(cfg.weight_decay, theta, out=s)
+            np.add(g, s, out=s)
+            mom *= b1
+            np.multiply(1 - b1, s, out=g)
+            mom += g
+            vel *= b2
+            np.multiply(1 - b2, s, out=g)
+            g *= s
+            vel += g
+            np.divide(mom, c1, out=s)
+            np.multiply(lr, s, out=s)
+            np.divide(vel, c2, out=g)
+            np.sqrt(g, out=g)
+            g += cfg.adam_eps
+            s /= g
+            theta -= s
+
         for k in sorted(trainable):
-            params = (model.weights[k], model.biases[k])
+            w, b = model.weights[k], model.biases[k]
             if self.slots[k] is None:
-                self.slots[k] = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
-            for param, grad, (moms, vels) in zip(params, (grads_w[k], grads_b[k]),
-                                                 self.slots[k]):
-                # copy=False raises rather than update a copy.
-                flat = [a.reshape(-1, copy=False) for a in (param, grad, moms, vels)]
-                for lo in range(0, flat[0].size, _ADAM_BLOCK):
-                    theta, g, mom, vel = (a[lo:lo + _ADAM_BLOCK] for a in flat)
-                    s = self.scratch[:theta.size]
-                    # The operations of g' = g + wd*theta, mom = b1*mom + (1-b1)*g',
-                    # vel = b2*vel + (1-b2)*g'*g' and
-                    # theta -= lr*(mom/c1) / (sqrt(vel/c2) + eps), in that order,
-                    # with g' in s and the temporaries in g and s.
-                    np.multiply(cfg.weight_decay, theta, out=s)
-                    np.add(g, s, out=s)
-                    mom *= b1
-                    np.multiply(1 - b1, s, out=g)
-                    mom += g
-                    vel *= b2
-                    np.multiply(1 - b2, s, out=g)
-                    g *= s
-                    vel += g
-                    np.divide(mom, c1, out=s)
-                    np.multiply(lr, s, out=s)
-                    np.divide(vel, c2, out=g)
-                    np.sqrt(g, out=g)
-                    g += cfg.adam_eps
-                    s /= g
-                    theta -= s
+                self.slots[k] = [(np.zeros_like(p), np.zeros_like(p)) for p in (w, b)]
+            (w_mom, w_vel), (b_mom, b_vel) = self.slots[k]
+            rows = _ADAM_BLOCK // w.shape[1]
+            for lo in range(0, w.shape[0], rows):
+                blk = slice(lo, lo + rows)
+                g = self.grad[:w[blk].size].reshape(w[blk].shape)
+                update(w[blk], weight_grad(grads_w[k], lo, lo + rows, out=g),
+                       w_mom[blk], w_vel[blk])
+            update(b, grads_b[k], b_mom, b_vel)  # one block: as long as a row
 
 
 @dataclass
@@ -660,7 +681,8 @@ def train(model: RegressorModel, train_set, val_set, cfg: TrainConfig,
     Each batch's inputs are made (warped and averaged down) just before it
     trains, into one batch buffer allocated per run, so memory does not grow
     with the training set beyond its planes. The validation inputs are made
-    once per run and reused every epoch.
+    once per run and reused every epoch. Weight gradients stay factors,
+    which the Adam step forms a block at a time.
     """
     if not train_set or not val_set:
         raise DataError("train and validation sets must be non-empty")
@@ -702,8 +724,8 @@ def train(model: RegressorModel, train_set, val_set, cfg: TrainConfig,
             loss_sum += loss * n_used
             used_sum += n_used
             opt.step(model, gw, gb, lr, cfg, trainable)
-            # The step consumed them: the next batch's gradients are the
-            # only ones alive while it computes.
+            # The factors hold this batch's activations: release them before
+            # the next batch computes its own.
             del gw, gb
         train_loss = loss_sum / used_sum if used_sum else float("nan")
         val_loss, val_err, skip_val = _val_metrics(model, X_val, gt_val,

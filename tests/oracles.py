@@ -136,6 +136,34 @@ def batch_loss(m: RegressorModel, X: np.ndarray, gt_pts: np.ndarray,
     return _mean_in_order(losses) if len(losses) else 0.0
 
 
+def column_losses(m: RegressorModel, X: np.ndarray, gt_pts: np.ndarray,
+                  screen: CalibratedScreen, k: int, j: int, delta: float):
+    """batch_loss of each model that differs from ``m`` by ``delta`` added
+    to one parameter of column j of layer k: W_k[i, j] for each i in order,
+    then b_k[j]. Such a change moves only column j of layer k's
+    pre-activation, so the models share the rest of it and run through the
+    layers above as one batch: a full forward pass each, no linearisation.
+    """
+    n = len(X)
+    cache = forward_batch(m, X)[1]
+    # The bias is one more weight, on a constant input of 1.
+    a = np.hstack([cache["acts"][k], np.ones((n, 1))])
+    col = np.append(m.weights[k][:, j], m.biases[k][j])
+    z = np.repeat(cache["pre"][k][None], len(col), axis=0)
+    z[:, :, j] = (a @ (col[:, None] + delta * np.eye(len(col)))).T
+    # The layers above, led by an identity layer that passes z through.
+    width = z.shape[2]
+    above = RegressorModel([np.eye(width)] + m.weights[k + 1:],
+                           [np.zeros(width)] + m.biases[k + 1:])
+    v, _ = forward_batch(above, z.reshape(-1, width))
+    keep, losses, _ = _screen_l1(v, np.tile(gt_pts, (len(col), 1)), screen)
+    per_row = np.zeros(len(v))
+    per_row[keep] = losses
+    # Skipped rows add 0.0 to the running total, as batch_loss leaves them out.
+    totals = np.add.accumulate(per_row.reshape(len(col), n), axis=1)[:, -1]
+    return totals / np.maximum(keep.reshape(len(col), n).sum(axis=1), 1)
+
+
 # ---------------------------------------------------------------------------
 # geometry
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import os
 import sys
 import tempfile
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -11,10 +13,11 @@ from hypothesis import strategies as st
 
 from flattrack.errors import ConfigError, FormatError, NumericalError
 from flattrack.optics import (ContourPsfParams, NoiseModel, Psf,
-                              _fft_workspace, full_convolve,
+                              _fft_workspace, fft_conv_shape, full_convolve,
                               generate_contour_psf, load_image, load_psf,
                               next_fast_len, save_image, save_psf,
                               simulate_measurement, spectral_flatness_ratio)
+from flattrack.reconstruct import WienerConfig, wiener_deconvolve
 from flattrack.workers import parallel_map
 from flattrack.seeds import make_rng, mix_seed, splitmix64
 import fuzz
@@ -124,8 +127,8 @@ def test_convolve_rejects_bad_input():
 
 
 def test_results_do_not_share_the_fft_workspace():
-    # The transforms run through one reused buffer pair per thread; each
-    # result must still be a fresh array that a later call leaves alone.
+    # The transforms run through one reused buffer pair per Psf and thread;
+    # each result must still be a fresh array that a later call leaves alone.
     rng = np.random.default_rng(8)
     p = Psf(rng.random((9, 7)))
     x1, x2 = rng.random((24, 30)), rng.random((24, 30))
@@ -139,15 +142,21 @@ def test_results_do_not_share_the_fft_workspace():
         assert np.array_equal(run(x1), kept)
 
 
-def test_fft_workspace_is_per_thread():
+def test_fft_workspace_is_per_thread_and_per_psf():
     grid = (30, 40)
-    a, b = _fft_workspace(grid)
+    rng = np.random.default_rng(3)
+    p, q = Psf(rng.random((5, 5))), Psf(rng.random((5, 5)))
+    a, b = _fft_workspace(p, grid)
     assert a.shape == b.shape == (30, 21)
-    assert _fft_workspace(grid)[0] is a
+    assert _fft_workspace(p, grid)[0] is a
     got = {}
+    # Both threads stay alive until both have grabbed: a finished thread's
+    # id, and so its buffers, may go to the next thread.
+    both = threading.Barrier(2)
 
     def grab(k):
-        got[k] = _fft_workspace(grid)
+        got[k] = _fft_workspace(p, grid)
+        both.wait(timeout=10)
 
     threads = [threading.Thread(target=grab, args=(k,)) for k in range(2)]
     for t in threads:
@@ -155,10 +164,68 @@ def test_fft_workspace_is_per_thread():
     for t in threads:
         t.join(timeout=10)
         assert not t.is_alive()
-    buffers = [a, b, *got[0], *got[1]]
+    buffers = [a, b, *_fft_workspace(q, grid), *got[0], *got[1]]
     for i, x in enumerate(buffers):
         for y in buffers[i + 1:]:
             assert not np.shares_memory(x, y)
+
+
+def test_fft_workspace_dies_with_its_psf():
+    rng = np.random.default_rng(12)
+    x, data = rng.random((24, 30)), rng.random((9, 7))
+    grid = fft_conv_shape(32, 36)
+    p = Psf(data)
+    full_convolve(x, p)
+    kept = weakref.ref(_fft_workspace(p, grid)[0])
+    gc.collect()
+    assert kept() is not None
+    del p
+    gc.collect()
+    assert kept() is None
+    # A raw-array PSF caches nothing: each call gets fresh buffers, which
+    # nothing keeps.
+    full_convolve(x, data)
+    fresh = _fft_workspace(data, grid)[0]
+    assert _fft_workspace(data, grid)[0] is not fresh
+    kept = weakref.ref(fresh)
+    del fresh
+    gc.collect()
+    assert kept() is None
+
+
+def test_threads_sharing_one_psf_match_the_serial_outputs():
+    # Four threads on two cores, switching often, run both per-frame
+    # kernels on one Psf; a buffer shared between them would corrupt them.
+    rng = np.random.default_rng(13)
+    p = Psf(rng.random((16, 16)))
+    scenes = [rng.random((48, 48)) for _ in range(8)]
+    noise = NoiseModel("gaussian", 1e-2)
+    cfg = WienerConfig(1e-3, 48, 48)
+
+    def frame(k):
+        y = simulate_measurement(scenes[k], p, noise, k)
+        return y, wiener_deconvolve(y, p, cfg)
+
+    serial = [frame(k) for k in range(len(scenes))]
+    got = {}
+
+    def work(t):
+        got[t] = [frame(k) for _ in range(3) for k in range(len(scenes))]
+
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for t in range(4):
+        for (y, x), (want_y, want_x) in zip(got[t], serial * 3):
+            assert np.array_equal(y, want_y) and np.array_equal(x, want_x)
 
 
 # ---------------------------------------------------------------------------
@@ -171,20 +238,13 @@ def test_simulate_same_under_parallel_map(monkeypatch):
     scenes = [rng.random((96, 96)) for _ in range(16)]
     noise = NoiseModel("gaussian", 1e-2)
     serial = [simulate_measurement(x, p, noise, k) for k, x in enumerate(scenes)]
-    # Each worker thread has its own FFT workspace; four workers on two
-    # cores, switching often, are likely to corrupt a shared one.
-    interval = sys.getswitchinterval()
-    try:
-        sys.setswitchinterval(1e-6)
-        for workers in ("2", "4"):
-            monkeypatch.setenv("FLATTRACK_THREADS", workers)
-            parallel = parallel_map(
-                lambda k: simulate_measurement(scenes[k], p, noise, k),
-                range(len(scenes)))
-            for a, b in zip(parallel, serial):
-                assert np.array_equal(a, b)
-    finally:
-        sys.setswitchinterval(interval)
+    for workers in ("2", "4"):
+        monkeypatch.setenv("FLATTRACK_THREADS", workers)
+        parallel = parallel_map(
+            lambda k: simulate_measurement(scenes[k], p, noise, k),
+            range(len(scenes)))
+        for a, b in zip(parallel, serial):
+            assert np.array_equal(a, b)
 
 
 def test_simulate_noise_off_matches_convolution():

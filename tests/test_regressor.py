@@ -24,7 +24,7 @@ from flattrack.regressor import (ARCH, AdamState, AffineRanges, EpochStats,
                                  evaluate, fine_tune, forward, forward_batch,
                                  load_model, model_init, save_model,
                                  train, backward_batch, plane_factor,
-                                 training_set, _STACK, _area_mean,
+                                 training_set, weight_grad, _STACK, _area_mean,
                                  _draw_affine, _prepare_inputs, _warp_scratch,
                                  _warp_stack)
 from flattrack.seeds import mix_seed
@@ -120,7 +120,8 @@ def test_loss_l1_values():
 
 
 def _fd_check(m, X, gts, eps=1e-4, atol=1e-6):
-    _, gw, gb, n_used, _ = batch_loss_and_grads(m, X, gts, SCREEN)
+    _, fw, gb, n_used, _ = batch_loss_and_grads(m, X, gts, SCREEN)
+    gw = [weight_grad(f) for f in fw]
     assert n_used == X.shape[0]
     rng = np.random.default_rng(99)
     worst = 0.0
@@ -179,10 +180,10 @@ def test_gradient_is_descent_direction():
     samples = tiny_round()
     X, gts = batch_of(samples, 4)
     m = model_init(8)
-    loss0, gw, gb, _, _ = batch_loss_and_grads(m, X, gts, SCREEN)
+    loss0, fw, gb, _, _ = batch_loss_and_grads(m, X, gts, SCREEN)
     step = 1e-6
     for k in range(m.n_layers):
-        m.weights[k] -= step * gw[k]
+        m.weights[k] -= step * weight_grad(fw[k])
         m.biases[k] -= step * gb[k]
     assert batch_loss(m, X, gts, SCREEN) < loss0
 
@@ -195,9 +196,9 @@ def test_unprojectable_predictions_skipped_and_counted():
     m.biases[2][:] = [0.0, 0.0, -1.0]  # constant backward-facing prediction
     samples = tiny_round()
     X, gts = batch_of(samples, 6)
-    loss, gw, gb, n_used, n_skip = batch_loss_and_grads(m, X, gts, SCREEN)
+    loss, fw, gb, n_used, n_skip = batch_loss_and_grads(m, X, gts, SCREEN)
     assert n_used == 0 and n_skip == 6
-    assert all(np.all(g == 0) for g in gw)
+    assert all(np.all(weight_grad(f) == 0) for f in fw)
 
 
 def _loop_loss_and_grads(m, X, gts):
@@ -216,7 +217,8 @@ def _loop_loss_and_grads(m, X, gts):
     if n_used == 0:
         return 0.0, None, 0
     dV /= n_used
-    return total / n_used, backward_batch(m, cache, dV), n_used
+    fw, gb = backward_batch(m, cache, dV)
+    return total / n_used, ([weight_grad(f) for f in fw], gb), n_used
 
 
 def test_batched_projection_equals_the_per_sample_loop():
@@ -231,19 +233,19 @@ def test_batched_projection_equals_the_per_sample_loop():
     # 36 rows keep more than 8 terms, which a pairwise sum would regroup.
     assert int((forward_batch(m, X)[0][:, 2] > 1e-6).sum()) >= 9
     for n in (9, 20, 36):
-        loss, gw, gb, n_used, n_skip = batch_loss_and_grads(m, X[:n], gts[:n], SCREEN)
+        loss, fw, gb, n_used, n_skip = batch_loss_and_grads(m, X[:n], gts[:n], SCREEN)
         want_loss, (want_w, want_b), want_used = _loop_loss_and_grads(m, X[:n], gts[:n])
         assert n_used == want_used and 0 < n_used < n and n_skip == n - n_used
         assert loss == want_loss
         assert batch_loss(m, X[:n], gts[:n], SCREEN) == want_loss
-        for got, want in zip(gw + gb, want_w + want_b):
+        for got, want in zip([weight_grad(f) for f in fw] + gb, want_w + want_b):
             assert np.array_equal(got, want)
     # Every row skipped: zero loss and zero gradients.
     m.biases[2][2] -= 1e3
-    loss, gw, gb, n_used, n_skip = batch_loss_and_grads(m, X, gts, SCREEN)
+    loss, fw, gb, n_used, n_skip = batch_loss_and_grads(m, X, gts, SCREEN)
     assert (loss, n_used, n_skip) == (0.0, 0, 36)
     assert _loop_loss_and_grads(m, X, gts)[2] == 0
-    assert all(not g.any() for g in gw + gb)
+    assert all(not g.any() for g in [weight_grad(f) for f in fw] + gb)
     assert batch_loss(m, X, gts, SCREEN) == 0.0
 
 
@@ -518,9 +520,9 @@ def test_train_holds_no_epoch_sized_input():
 def test_train_keeps_two_copies_of_the_weights():
     # One pretraining call, its model made inside the trace as
     # train_protocol makes it: the model it trains in place, the best
-    # weights, Adam's two moments and one set of gradients are five model
-    # sizes. A third copy of the weights, or a model-sized Adam scratch
-    # array, would take the peak past 7.
+    # weights and Adam's two moments are four model sizes. A model-sized
+    # gradient (5.95 with one), a third copy of the weights or a
+    # model-sized Adam scratch array would take the peak past 5.5.
     rng = np.random.default_rng(26)
     ts, val = frames_set(rng.random((64, 32, 32))), frames_set(rng.random((16, 32, 32)))
     cfg = TrainConfig(epochs=2, lr=1e-3, batch_size=32, augment=False, seed=7)
@@ -531,7 +533,7 @@ def test_train_keeps_two_copies_of_the_weights():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7 * model_bytes
+    assert peak < 5.5 * model_bytes
 
 
 def test_training_identical_at_any_thread_count(tmp_path, monkeypatch):
@@ -606,7 +608,13 @@ def test_float32_images_train_and_evaluate_like_float64(tmp_path, monkeypatch):
 
 def test_adam_step_equals_the_plain_formula():
     # Layer 0 frozen, as in fine-tuning; and every layer trainable, where
-    # W0 (1024x128) spans 16 of the step's blocks.
+    # W0 (1024x128) spans 16 of the step's blocks. The step gets each
+    # weight gradient as factors (acts, delta) of 1 to 32 rows and forms it
+    # a block of rows at a time; the plain formula takes the whole product.
+    # The last step is a batch with every sample skipped.
+    X, gts = batch_of(tiny_round(), 6)
+    away = model_init(9)
+    away.biases[2][:] = [0.0, 0.0, -1e3]  # every prediction faces away
     for trainable in ({1, 2}, {0, 1, 2}):
         m = model_init(5)
         ref = m.copy()
@@ -616,9 +624,16 @@ def test_adam_step_equals_the_plain_formula():
                        for p in (ref.weights[k], ref.biases[k])] for k in trainable}
         opt = AdamState(m)
         rng = np.random.default_rng(4)
-        for t in range(1, 5):
-            gw = [rng.standard_normal(w.shape) for w in m.weights]
-            gb = [rng.standard_normal(b.shape) for b in m.biases]
+        for t in range(1, 6):
+            if t < 5:
+                n = int(rng.integers(1, 33))
+                fw = [(rng.standard_normal((n, w.shape[0])),
+                       rng.standard_normal((n, w.shape[1]))) for w in m.weights]
+                gb = [rng.standard_normal(b.shape) for b in m.biases]
+            else:
+                _, fw, gb, n_used, _ = batch_loss_and_grads(away, X, gts, SCREEN)
+                assert n_used == 0
+            gw = [a.T @ d for a, d in fw]
             lr = 1e-3 * 0.5 ** (t // 2)
             c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
             for k in trainable:
@@ -630,12 +645,12 @@ def test_adam_step_equals_the_plain_formula():
                     vel *= b2
                     vel += (1 - b2) * g * g
                     theta -= lr * (mom / c1) / (np.sqrt(vel / c2) + cfg.adam_eps)
-            opt.step(m, [g.copy() for g in gw], [g.copy() for g in gb], lr, cfg,
-                     trainable)
+            opt.step(m, fw, [g.copy() for g in gb], lr, cfg, trainable)
             for a, b in zip(m.weights + m.biases, ref.weights + ref.biases):
                 assert np.array_equal(a, b)
+        assert not any(g.any() for g in gw)  # the skipped batch's
         # Two moments per trainable parameter, none for a frozen layer, and
-        # one bounded scratch array for the whole state.
+        # two bounded scratch arrays for the whole state.
         for k, w in enumerate(m.weights):
             if k in trainable:
                 assert not np.array_equal(w, model_init(5).weights[k])
@@ -643,7 +658,7 @@ def test_adam_step_equals_the_plain_formula():
             else:
                 assert np.array_equal(w, model_init(5).weights[k])
                 assert opt.slots[k] is None
-        assert opt.scratch.nbytes <= 64 * 1024
+        assert opt.scratch.nbytes <= 64 * 1024 and opt.grad.nbytes <= 64 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +778,8 @@ def test_backward_stops_at_the_first_trainable_layer():
     _, fw, fb, _, _ = batch_loss_and_grads(m, X, gts, SCREEN, first=1)
     assert fw[0] is None and fb[0] is None  # the frozen layer gets none
     for k in (1, 2):
-        assert np.array_equal(fw[k], gw[k]) and np.array_equal(fb[k], gb[k])
+        assert np.array_equal(weight_grad(fw[k]), weight_grad(gw[k]))
+        assert np.array_equal(fb[k], gb[k])
 
 
 def test_finetune_never_worse_on_val():
