@@ -76,7 +76,7 @@ class NoiseModel:
 @dataclass(frozen=True, eq=False)
 class Psf:
     """Nonnegative intensity PSF: immutable, and memoises its padded spectrum
-    and, per grid and thread, its per-frame FFT buffers (_fft_workspace).
+    and, per live thread, its per-frame FFT buffers (_fft_workspace).
 
     ``data`` is a read-only copy of the given array, so nothing cached from
     it can go stale. Build one Psf per camera and reuse it for every frame.
@@ -103,7 +103,6 @@ class Psf:
 
         Threads may race to compute the same deterministic value; setdefault
         keeps the first one stored, so every caller gets the same array.
-        Values a thread writes to (FFT buffers) have the thread in the key.
         """
         value = self._cache.get(key)
         if value is None:
@@ -141,22 +140,29 @@ def _padded_spectrum(p: Psf | np.ndarray, out_h: int, out_w: int):
 
 
 def _fft_workspace(p: Psf | np.ndarray | None, grid: tuple[int, int]):
-    """Two (fh, fw//2+1) complex buffers for transforms on ``grid``: memoised
-    on a Psf per (grid, thread), so freed with it; fresh otherwise. Fresh
-    528 KiB buffers (256x129) would be page-faulted in on every call."""
-    if isinstance(p, Psf):
-        return p._memo(("fft", grid, threading.get_ident()),
-                       lambda: _fft_workspace(None, grid))
+    """Two (fh, fw//2+1) complex buffers for transforms on ``grid``. A Psf
+    keeps one pair per thread, for that thread's last grid, freed with the
+    Psf or, once the thread has ended, at any thread's next new pair; a raw
+    array gets fresh ones (528 KiB at 256x129, page-faulted in anew)."""
     shape = (grid[0], grid[1] // 2 + 1)
-    return np.empty(shape, complex), np.empty(shape, complex)
+    if not isinstance(p, Psf):
+        return np.empty(shape, complex), np.empty(shape, complex)
+    key = ("fft", threading.get_ident())
+    held = p._cache.get(key)
+    if held is None or held[0] != grid:
+        live = {t.ident for t in threading.enumerate()}
+        for dead in [k for k in list(p._cache) if k[0] == "fft" and k[1] not in live]:
+            p._cache.pop(dead, None)
+        held = p._cache[key] = (grid, *_fft_workspace(None, grid))
+    return held[1:]
 
 
-def _filter_padded(x: np.ndarray, grid: tuple[int, int], ws, filt, out_h: int,
-                   out_w: int) -> np.ndarray:
+def _filter_padded(x: np.ndarray, p: Psf | np.ndarray, grid: tuple[int, int],
+                   filt, out_h: int, out_w: int) -> np.ndarray:
     """``irfft2(filt(rfft2(x, s=grid)), s=grid)[:out_h, :out_w]``, bit for bit.
 
-    The 2-D transforms run as the same 1-D passes, written into the buffer
-    pair ``ws`` (_fft_workspace); ``filt`` updates the spectrum in place.
+    The 2-D transforms run as the same 1-D passes, written into p's buffer
+    pair for ``grid`` (_fft_workspace); ``filt`` updates the spectrum in place.
     The row pass reads ``x`` through the second buffer, converted there to
     float64 and zero-padded in place to the grid's width, so neither a
     float32 frame's cast nor a short row's pad gets a copy (numpy's rfft
@@ -165,7 +171,7 @@ def _filter_padded(x: np.ndarray, grid: tuple[int, int], ws, filt, out_h: int,
     on the kept rows, allocates: its array is the result, not a buffer.
     """
     fw = grid[1]
-    a, b = ws
+    a, b = _fft_workspace(p, grid)
     h, w = x.shape
     rows = b.view(float)[:h, :fw]
     rows[:, :w] = x
@@ -190,8 +196,8 @@ def full_convolve(x, p: Psf | np.ndarray) -> np.ndarray:
     p = _psf_operand(p)
     out_h, out_w = _full_shape(xa, p)
     grid, fp = _padded_spectrum(p, out_h, out_w)
-    return _filter_padded(xa, grid, _fft_workspace(p, grid),
-                          lambda fx: np.multiply(fx, fp, out=fx), out_h, out_w)
+    return _filter_padded(xa, p, grid, lambda fx: np.multiply(fx, fp, out=fx),
+                          out_h, out_w)
 
 
 def simulate_measurement(x, p: Psf, noise: NoiseModel, seed: int) -> np.ndarray:

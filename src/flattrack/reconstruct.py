@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .optics import (Psf, _check_image, _fft_workspace, _filter_padded,
-                     _padded_spectrum, _psf_operand)
+from .optics import (Psf, _check_image, _filter_padded, _padded_spectrum,
+                     _psf_operand)
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,7 @@ def wiener_deconvolve(y, p: Psf, cfg: WienerConfig) -> np.ndarray:
         v = fy.view(float)
         np.multiply(v, inv_den, out=v)
 
-    out = _filter_padded(ya, grid, _fft_workspace(p, grid), filt, cfg.output_h,
-                         cfg.output_w)
+    out = _filter_padded(ya, p, grid, filt, cfg.output_h, cfg.output_w)
     if cfg.clip01:
         out = np.clip(out, 0.0, 1.0)
     return out

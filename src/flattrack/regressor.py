@@ -175,11 +175,9 @@ def forward(m: RegressorModel, image) -> np.ndarray:
 
 def backward_batch(m: RegressorModel, cache, dV: np.ndarray, first: int = 0):
     """Gradients of sum_i dV_i . v_i w.r.t. the parameters of layers first..
-    as (factors_w, grads_b), None below first (a frozen layer needs none).
-
-    grads_b[k] is layer k's bias gradient; factors_w[k] is (acts[k],
-    delta_k), whose product acts[k].T @ delta_k weight_grad forms, whole or
-    a block of rows at a time.
+    as (factors_w, grads_b), None below first (a frozen layer needs none):
+    layer k's bias gradient, and the factors (acts[k], delta_k) of its
+    weight gradient acts[k].T @ delta_k, which weight_grad forms.
 
     dV is (N, 3): upstream gradient at the unit-normalized output. Samples
     flagged degenerate in the cache (zero pre-normalization vector)
@@ -206,13 +204,13 @@ def backward_batch(m: RegressorModel, cache, dV: np.ndarray, first: int = 0):
     return factors_w, grads_b
 
 
-def weight_grad(factors, lo: int = 0, hi: int | None = None,
+def weight_grad(factors, rows: slice = slice(None), cols: slice = slice(None),
                 out: np.ndarray | None = None) -> np.ndarray:
-    """Rows lo:hi (default: all) of the weight gradient acts.T @ delta of
-    backward_batch's factors, into ``out`` if given; bit for bit the rows
-    of the whole product."""
+    """The block [rows, cols] (default: all) of the weight gradient
+    acts.T @ delta of backward_batch's factors, into ``out`` if given. A
+    block of whole rows is bit for bit those rows of the whole product."""
     acts, delta = factors
-    return np.matmul(acts[:, lo:hi].T, delta, out=out)
+    return np.matmul(acts[:, rows].T, delta[:, cols], out=out)
 
 
 def _screen_l1(v: np.ndarray, gt_pts, screen: CalibratedScreen):
@@ -506,8 +504,8 @@ class AdamState:
     def step(self, model: RegressorModel, grads_w, grads_b, lr: float,
              cfg: TrainConfig, trainable: set[int]):
         """One in-place update of the trainable layers from backward_batch's
-        gradients; it consumes the bias gradients. A weight is updated in
-        blocks of whole rows of at most _ADAM_BLOCK values, each block's
+        gradients; it consumes the bias gradients. Each parameter is updated
+        in blocks of at most _ADAM_BLOCK values, a weight block's
         gradient formed into ``self.grad`` (weight_grad), with the operations
         of the plain formula in their order, so the result does not depend
         on the blocks and no model-sized gradient is formed."""
@@ -544,13 +542,17 @@ class AdamState:
             if self.slots[k] is None:
                 self.slots[k] = [(np.zeros_like(p), np.zeros_like(p)) for p in (w, b)]
             (w_mom, w_vel), (b_mom, b_vel) = self.slots[k]
-            rows = _ADAM_BLOCK // w.shape[1]
-            for lo in range(0, w.shape[0], rows):
-                blk = slice(lo, lo + rows)
+            # Whole rows while a row fits in a block, else pieces of a row.
+            cols = min(w.shape[1], _ADAM_BLOCK) or 1
+            rows = _ADAM_BLOCK // cols
+            for blk in ((slice(r, r + rows), slice(c, c + cols))
+                        for r in range(0, w.shape[0], rows)
+                        for c in range(0, w.shape[1], cols)):
                 g = self.grad[:w[blk].size].reshape(w[blk].shape)
-                update(w[blk], weight_grad(grads_w[k], lo, lo + rows, out=g),
+                update(w[blk], weight_grad(grads_w[k], *blk, out=g),
                        w_mom[blk], w_vel[blk])
-            update(b, grads_b[k], b_mom, b_vel)  # one block: as long as a row
+            for blk in (slice(lo, lo + _ADAM_BLOCK) for lo in range(0, b.size, _ADAM_BLOCK)):
+                update(b[blk], grads_b[k][blk], b_mom[blk], b_vel[blk])
 
 
 @dataclass

@@ -168,6 +168,13 @@ def test_fft_workspace_is_per_thread_and_per_psf():
     for i, x in enumerate(buffers):
         for y in buffers[i + 1:]:
             assert not np.shares_memory(x, y)
+    # A thread keeps the pair of its last grid only, and the next new pair
+    # frees the pairs of threads that have ended.
+    kept = [weakref.ref(x) for x in (a, *got[0], *got[1])]
+    del a, b, got, buffers, x, y
+    assert _fft_workspace(p, (32, 32))[0].shape == (32, 17)
+    gc.collect()
+    assert all(ref() is None for ref in kept)
 
 
 def test_fft_workspace_dies_with_its_psf():

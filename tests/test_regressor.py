@@ -661,6 +661,31 @@ def test_adam_step_equals_the_plain_formula():
         assert opt.scratch.nbytes <= 64 * 1024 and opt.grad.nbytes <= 64 * 1024
 
 
+def test_adam_step_trains_layers_wider_than_a_block():
+    # A hidden layer of 9,000 units: W0's rows and b0 are longer than one
+    # 8,192-value block, so the step updates them in pieces of a row; W1
+    # (9000x3) takes blocks of whole rows. It matches the plain formula to
+    # rounding: BLAS may round a one-row product differently.
+    rng = np.random.default_rng(6)
+    m = RegressorModel([rng.standard_normal((4, 9000)), rng.standard_normal((9000, 3))],
+                       [rng.standard_normal(9000), rng.standard_normal(3)])
+    ref = m.copy()
+    cfg = TrainConfig(weight_decay=5e-3, seed=1)
+    opt = AdamState(m)
+    fw = [(rng.standard_normal((5, w.shape[0])), rng.standard_normal((5, w.shape[1])))
+          for w in m.weights]
+    gb = [rng.standard_normal(b.shape) for b in m.biases]
+    opt.step(m, fw, [g.copy() for g in gb], 1e-3, cfg, {0, 1})
+    for theta, g in zip(ref.weights + ref.biases, [a.T @ d for a, d in fw] + gb):
+        g = g + cfg.weight_decay * theta
+        mom, vel = (1 - cfg.adam_beta1) * g, (1 - cfg.adam_beta2) * g * g
+        c1, c2 = 1.0 - cfg.adam_beta1, 1.0 - cfg.adam_beta2
+        theta -= 1e-3 * (mom / c1) / (np.sqrt(vel / c2) + cfg.adam_eps)
+    for a, b in zip(m.weights + m.biases, ref.weights + ref.biases):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+    assert opt.grad.nbytes <= 64 * 1024
+
+
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
