@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, FormatError, NumericalError
+from .orderstats import median, quantile
 from .seeds import make_rng
 
 # Guard against absurd allocation from corrupt headers or bad configs.
@@ -251,6 +252,25 @@ def generate_contour_psf(h: int, w: int, params: ContourPsfParams, seed: int) ->
         raise ConfigError("psf dims must be at least 16")
     if h > MAX_DIM or w > MAX_DIM:
         raise ConfigError("psf dims exceed dimension limit")
+    f = _contour_field(h, w, params, seed)
+    dev = np.abs(f - median(f))
+    width = params.levelset_width
+    fill = float(np.mean(dev < width))
+    lo, hi = 0.8 * params.fill_target, 1.2 * params.fill_target
+    if not (lo <= fill <= hi):
+        # Exact hit via the deviation quantile.
+        width = quantile(dev, params.fill_target)
+        fill = float(np.mean(dev < width))
+    mask = (dev < width).astype(float)
+    total = float(mask.sum())
+    if total <= 0:
+        raise NumericalError("degenerate contour psf: all-zero mask")
+    return Psf(mask / total)
+
+
+def _contour_field(h: int, w: int, params: ContourPsfParams, seed: int) -> np.ndarray:
+    """The h x w field that generate_contour_psf thresholds: a sum of
+    params.n_waves seeded cosine waves, scaled to unit standard deviation."""
     rng = make_rng(seed)
     yy, xx = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float),
                          indexing="ij")
@@ -264,20 +284,7 @@ def generate_contour_psf(h: int, w: int, params: ContourPsfParams, seed: int) ->
         ky = np.sin(theta) * 2 * np.pi * cycles / scale
         f += np.cos(kx * xx + ky * yy + phase)
     f /= max(float(f.std()), 1e-12)
-
-    dev = np.abs(f - np.median(f))
-    width = params.levelset_width
-    fill = float(np.mean(dev < width))
-    lo, hi = 0.8 * params.fill_target, 1.2 * params.fill_target
-    if not (lo <= fill <= hi):
-        # Exact hit via the deviation quantile.
-        width = float(np.quantile(dev, params.fill_target))
-        fill = float(np.mean(dev < width))
-    mask = (dev < width).astype(float)
-    total = float(mask.sum())
-    if total <= 0:
-        raise NumericalError("degenerate contour psf: all-zero mask")
-    return Psf(mask / total)
+    return f
 
 
 def spectral_flatness_ratio(p: Psf) -> float:

@@ -10,8 +10,9 @@ import numpy as np
 
 from flattrack.errors import ConfigError, NumericalError
 from flattrack.geometry import CalibratedScreen
-from flattrack.optics import (Psf, _check_image, _full_shape,
-                              _padded_spectrum, _psf_operand, fft_conv_shape)
+from flattrack.optics import (ContourPsfParams, Psf, _check_image,
+                              _contour_field, _full_shape, _padded_spectrum,
+                              _psf_operand, fft_conv_shape)
 from flattrack.regressor import (RegressorModel, _mean_in_order, _screen_l1,
                                  forward_batch)
 
@@ -30,6 +31,37 @@ def convolve_direct(x, p: Psf | np.ndarray) -> np.ndarray:
         for j in range(pa.shape[1]):
             out[i:i + xa.shape[0], j:j + xa.shape[1]] += pa[i, j] * xa
     return out
+
+
+# numpy's own order statistics, which flattrack.orderstats must equal bit
+# for bit (they import numpy.ma, which no command may load).
+
+def median(x) -> float:
+    return float(np.median(x))
+
+
+def quantile(x, q: float) -> float:
+    return float(np.quantile(x, q))
+
+
+def percentile(x, p: float) -> float:
+    return float(np.percentile(x, p))
+
+
+def contour_psf(h: int, w: int, params: ContourPsfParams,
+                seed: int) -> tuple[np.ndarray, bool]:
+    """generate_contour_psf's band through numpy's median and quantile:
+    the PSF data, and whether the band width came from the fill quantile
+    (True) or was params.levelset_width (False)."""
+    f = _contour_field(h, w, params, seed)
+    dev = np.abs(f - median(f))
+    width = params.levelset_width
+    fill = float(np.mean(dev < width))
+    from_quantile = not (0.8 * params.fill_target <= fill <= 1.2 * params.fill_target)
+    if from_quantile:
+        width = quantile(dev, params.fill_target)
+    mask = (dev < width).astype(float)
+    return mask / float(mask.sum()), from_quantile
 
 
 # ---------------------------------------------------------------------------

@@ -928,6 +928,38 @@ def test_pipeline_determinism(tmp_path, small_cfg_file):
     assert len(h1) > 100  # images + manifests + models + reports
 
 
+def test_no_command_loads_numpy_ma(small_cfg_file, tmp_path):
+    # numpy.ma (about 1.9 MB) stays resident once loaded, and np.median,
+    # np.quantile and np.percentile load it. In its own interpreter, with a
+    # timeout, so this process's imports do not count.
+    d = {k: str(tmp_path / k) for k in ("psf", "scenes", "meas", "recon",
+                                         "models", "eval", "latency.csv")}
+    commands = [
+        ["gen-psf", "--config", small_cfg_file, "--out", d["psf"]],
+        ["render-dataset", "--config", small_cfg_file, "--out", d["scenes"]],
+        ["simulate", "--in", d["scenes"], "--psf", d["psf"], "--out", d["meas"]],
+        ["reconstruct", "--in", d["meas"], "--psf", d["psf"], "--out", d["recon"]],
+        ["train", "--in", d["recon"], "--out", d["models"]],
+        ["eval", "--in", d["recon"], "--models", d["models"], "--out", d["eval"],
+         "--psf", d["psf"]],
+        ["bench", "--config", small_cfg_file, "--psf", d["psf"], "--out",
+         d["latency.csv"], "--model", os.path.join(d["models"], "model_s00.ftkmdl")],
+    ]
+    code = ("import sys\n"
+            "from flattrack.cli import main\n"
+            f"for args in {commands!r}:\n"
+            "    assert main(args) == 0, args\n"
+            "    assert 'numpy.ma' not in sys.modules, args[0]\n"
+            "print('numpy.ma never loaded')\n")
+    import flattrack
+    src = os.path.dirname(os.path.dirname(os.path.abspath(flattrack.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert "numpy.ma never loaded" in proc.stdout
+
+
 def test_console_entry_point(small_cfg_file, tmp_path):
     import flattrack
     out = str(tmp_path / "g.csv")

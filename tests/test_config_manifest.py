@@ -356,7 +356,7 @@ def no_child_left():
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "4"])
-def test_imap_keeps_order_and_bounds_the_results_alive(monkeypatch, threads):
+def test_parallel_map_keeps_order_and_read_bounds_the_frames_alive(monkeypatch, threads):
     monkeypatch.setenv("FLATTRACK_THREADS", threads)
     # The first items are the slowest, so later chunks finish first.
     got = parallel_map(lambda i: (time.sleep(0.002 * (i < 4)), i * i)[1], range(40))
@@ -380,7 +380,7 @@ def test_imap_keeps_order_and_bounds_the_results_alive(monkeypatch, threads):
     assert most_alive <= 2
 
 
-def test_imap_error_propagates_and_stops_the_pool(monkeypatch):
+def test_parallel_map_error_propagates_and_leaves_no_child(monkeypatch):
     monkeypatch.setenv("FLATTRACK_THREADS", "2")
 
     def load(i):
