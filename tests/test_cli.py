@@ -929,9 +929,9 @@ def test_pipeline_determinism(tmp_path, small_cfg_file):
 
 
 def test_no_command_loads_numpy_ma(small_cfg_file, tmp_path):
-    # numpy.ma (about 1.9 MB) stays resident once loaded, and np.median,
-    # np.quantile and np.percentile load it. In its own interpreter, with a
-    # timeout, so this process's imports do not count.
+    # np.median, np.quantile and np.percentile load numpy.ma, which then
+    # stays resident (1.25 MB after import flattrack.cli). In its own
+    # interpreter, with a timeout, so this process's imports do not count.
     d = {k: str(tmp_path / k) for k in ("psf", "scenes", "meas", "recon",
                                          "models", "eval", "latency.csv")}
     commands = [

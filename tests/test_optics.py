@@ -21,8 +21,7 @@ from flattrack.reconstruct import WienerConfig, wiener_deconvolve
 from flattrack.workers import parallel_map
 from flattrack.seeds import make_rng, mix_seed, splitmix64
 import fuzz
-import oracles
-from oracles import convolve_direct, fltimg_bytes
+from oracles import contour_psf, convolve_direct, fltimg_bytes
 
 
 def rel_err(a, b):
@@ -372,6 +371,18 @@ def test_contour_psf_rejects_small_dims():
         generate_contour_psf(8, 64, ContourPsfParams(), seed=0)
 
 
+@pytest.mark.parametrize("h, w, seed", [(128, 128, 11), (64, 64, 7), (32, 32, 5),
+                                        (48, 40, 3), (17, 23, 1)])
+@pytest.mark.parametrize("width, from_quantile", [(0.08, True), (0.2, False)])
+def test_contour_psf_equals_numpys_order_statistics(h, w, seed, width, from_quantile):
+    # The default levelset_width misses the fill target, so the band width
+    # comes from the fill quantile; at 0.2 it lands in range and is kept.
+    params = ContourPsfParams(levelset_width=width)
+    want, took_quantile = contour_psf(h, w, params, seed)
+    assert took_quantile == from_quantile
+    assert generate_contour_psf(h, w, params, seed).data.tobytes() == want.tobytes()
+
+
 def test_psf_validation():
     with pytest.raises(ConfigError):
         Psf(np.array([[0.5, -0.1], [0.2, 0.4]]))
@@ -516,15 +527,3 @@ def test_psf_save_load_round_trip(tmp_path):
     save_psf(p, path)
     q = load_psf(path)
     assert np.array_equal(q.data.astype(np.float32), p.data.astype(np.float32))
-
-
-@pytest.mark.parametrize("h, w, seed", [(128, 128, 11), (64, 64, 7), (32, 32, 5),
-                                        (48, 40, 3), (17, 23, 1)])
-@pytest.mark.parametrize("width, from_quantile", [(0.08, True), (0.2, False)])
-def test_contour_psf_equals_numpys_order_statistics(h, w, seed, width, from_quantile):
-    # The default levelset_width misses the fill target, so the band width
-    # comes from the fill quantile; at 0.2 it lands in range and is kept.
-    params = ContourPsfParams(levelset_width=width)
-    want, took_quantile = oracles.contour_psf(h, w, params, seed)
-    assert took_quantile == from_quantile
-    assert generate_contour_psf(h, w, params, seed).data.tobytes() == want.tobytes()
